@@ -18,15 +18,17 @@ Three independent checks, all run by default:
   hook, plus once at the end.  Any flit lost/duplicated at a cut, or
   any credit loop that does not still mirror its destination buffer
   exactly, fails at the first bad cycle.  A second pass runs the same
-  smoke on **vectorized domains** with an asymmetric credit latency
-  (skipped without numpy).
+  smoke on **vectorized domains** with an asymmetric credit latency,
+  and a third runs them at the chiplet benchmark's operating point
+  (CMesh, saturated sources, no drain; both skipped without numpy).
 
 * ``--vectorized`` — the SoA-domain gates (skipped without numpy):
   the f12 report (all of whose allocators have an SoA formulation)
   on ``REPRO_ENGINE=vectorized`` must be byte-identical to the
   1x1-partitioned ``REPRO_DOMAIN_ENGINE=vectorized`` report;
   in-process, a 2x2 partition with vectorized domains must match gated
-  domains on every supported allocator, and a workers=2 run must match
+  domains on every supported allocator and on a saturated CMesh (the
+  chiplet benchmark's operating point), and workers=2 runs must match
   serial.
 
 Both checks run the simulations in subprocess-free, cache-free process
@@ -113,13 +115,20 @@ def _have_numpy() -> bool:
     return True
 
 
-def _invariant_run(partition_kwargs: dict, label: str) -> bool:
+def _invariant_run(
+    partition_kwargs: dict,
+    label: str,
+    *,
+    topology: str = "mesh",
+    injection_rate: float = 0.08,
+    windows: tuple[int, int, int] = (300, 900, 1200),
+) -> bool:
     from repro.network.config import NetworkConfig, RouterConfig
     from repro.network.links import PartitionConfig
     from repro.sim.partition import PartitionedSimulation, check_invariants
 
     cfg = NetworkConfig(
-        topology="mesh",
+        topology=topology,
         num_terminals=64,
         router=RouterConfig(num_vcs=6, buffer_depth=5, allocator="vix",
                             virtual_inputs=2, vc_policy="vix_dimension"),
@@ -127,7 +136,7 @@ def _invariant_run(partition_kwargs: dict, label: str) -> bool:
     sim = PartitionedSimulation(
         cfg,
         partition=PartitionConfig(dims=(2, 2), **partition_kwargs),
-        injection_rate=0.08,
+        injection_rate=injection_rate,
         seed=1,
     )
     checked = 0
@@ -139,9 +148,10 @@ def _invariant_run(partition_kwargs: dict, label: str) -> bool:
             checked += 1
 
     sim.on_cycle = hook
-    print(f"[invariants] {label}: 2x2-partitioned 8x8 mesh, checking every "
-          "5 cycles ...", flush=True)
-    result = sim.run(warmup=300, measure=900, drain_limit=1200)
+    print(f"[invariants] {label}: 2x2-partitioned 64-terminal {topology}, "
+          "checking every 5 cycles ...", flush=True)
+    warmup, measure, drain_limit = windows
+    result = sim.run(warmup=warmup, measure=measure, drain_limit=drain_limit)
     check_invariants(sim)
     crossed = result.counters.get("interchip_flits", 0)
     print(f"[invariants] {label}: OK: {checked} mid-run checks, "
@@ -165,6 +175,13 @@ def check_invariants() -> bool:
             dict(link_latency=4, link_width=2, link_credit_latency=1,
                  domain_engine="vectorized"),
             "vectorized+asym-credit",
+        )
+        ok &= _invariant_run(
+            dict(link_latency=4, domain_engine="vectorized"),
+            "vectorized+saturated-cmesh",
+            topology="cmesh",
+            injection_rate=1.0,
+            windows=(100, 300, 0),
         )
     else:
         print("[invariants] vectorized pass skipped (no numpy)")
@@ -223,40 +240,61 @@ def check_vectorized() -> bool:
             d["counters"].pop(key, None)
         return d
 
-    def run_one(allocator: str, domain_engine: str, workers: int = 1) -> dict:
+    def run_one(
+        allocator: str, domain_engine: str, workers: int = 1, saturated: bool = False
+    ) -> dict:
+        """The low-load mesh row, or the saturated-CMesh row (the chiplet
+        benchmark's operating point: link latency 4, no drain)."""
         cfg = NetworkConfig(
-            topology="mesh",
+            topology="cmesh" if saturated else "mesh",
             num_terminals=64,
             router=RouterConfig(num_vcs=4, allocator=allocator),
         )
+        link = dict(link_latency=4) if saturated else dict(link_latency=2, link_width=2)
         sim = PartitionedSimulation(
             cfg,
             partition=PartitionConfig(
-                dims=(2, 2), link_latency=2, link_width=2,
-                domain_engine=domain_engine, workers=workers,
+                dims=(2, 2), domain_engine=domain_engine, workers=workers, **link
             ),
-            injection_rate=0.1,
+            injection_rate=1.0 if saturated else 0.1,
             seed=1,
         )
+        if saturated:
+            return comparable(sim.run(warmup=100, measure=300, drain_limit=0))
         return comparable(sim.run(warmup=200, measure=600, drain_limit=800))
 
+    def expect_equal(label: str, reference: dict, other: dict, what: str) -> bool:
+        if reference == other:
+            print(f"[vectorized] 2x2 {label}: OK (matches {what})")
+            return True
+        diff = [k for k in reference if reference[k] != other.get(k)]
+        print(f"[vectorized] 2x2 {label}: MISMATCH in {diff}")
+        return False
+
     for allocator in ("input_first", "output_first", "vix", "ideal_vix"):
-        gated = run_one(allocator, "gated")
-        vec = run_one(allocator, "vectorized")
-        if gated == vec:
-            print(f"[vectorized] 2x2 {allocator}: OK (matches gated domains)")
-        else:
-            ok = False
-            diff = [k for k in gated if gated[k] != vec.get(k)]
-            print(f"[vectorized] 2x2 {allocator}: MISMATCH in {diff}")
-    serial = run_one("vix", "vectorized")
-    workers = run_one("vix", "vectorized", workers=2)
-    if serial == workers:
-        print("[vectorized] 2x2 vix workers=2: OK (matches serial)")
-    else:
-        ok = False
-        diff = [k for k in serial if serial[k] != workers.get(k)]
-        print(f"[vectorized] 2x2 vix workers=2: MISMATCH in {diff}")
+        ok &= expect_equal(
+            allocator,
+            run_one(allocator, "gated"),
+            run_one(allocator, "vectorized"),
+            "gated domains",
+        )
+    sat = run_one("vix", "vectorized", saturated=True)
+    ok &= expect_equal(
+        "vix saturated cmesh",
+        run_one("vix", "gated", saturated=True),
+        sat,
+        "gated domains",
+    )
+    for label, serial, saturated in (
+        ("vix", run_one("vix", "vectorized"), False),
+        ("vix saturated cmesh", sat, True),
+    ):
+        ok &= expect_equal(
+            f"{label} workers=2",
+            serial,
+            run_one("vix", "vectorized", workers=2, saturated=saturated),
+            "serial",
+        )
     return ok
 
 

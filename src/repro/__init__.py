@@ -39,7 +39,9 @@ from repro.traffic import TrafficInjector, make_pattern
 # handles nested containers deterministically, and jobs are derived from
 # the declarative experiment-spec layer.  The version is folded into every
 # SimJob.key(), so all pre-1.2 cache entries are invalidated wholesale.
-__version__ = "1.5.0"
+# 1.6.0: partitioned runs on vectorized domains report ``vec_kernel_cycles``
+# once per fabric cycle instead of summed over domains.
+__version__ = "1.6.0"
 
 __all__ = [
     "AugmentingPathAllocator",

@@ -32,7 +32,7 @@ class PartitionInvariantError(AssertionError):
 def check_flit_conservation(sim) -> None:
     """Every created flit is ejected, in some domain, or on a link."""
     created = sim.total_created_flits()
-    ejected = sum(dom.counters.flits_ejected for dom in sim.domains)
+    ejected = sum(dom.counter_snapshot()["flits_ejected"] for dom in sim.domains)
     in_network = sum(dom.outstanding_flits() for dom in sim.domains)
     on_links = sum(link.pending() for link in sim.links)
     total = ejected + in_network + on_links

@@ -101,9 +101,7 @@ def _worker_main(sim, domain_ids, conn, worker_index: int) -> None:
         op = msg[0]
         if op == "advance":
             for _ in range(msg[1]):
-                for inj, dom in zip(injectors, domains):
-                    inj.tick(dom.cycle)
-                    dom.step()
+                sim.step_domains(injectors, domains)
             out = {}
             for link in touched:
                 if link.outbox:

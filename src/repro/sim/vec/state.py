@@ -29,13 +29,12 @@ the same power-on value (0) and rotation rule as
 (routing, lookahead, link endpoints) are precomputed once into lookup
 tables so the per-cycle kernels are pure array arithmetic.
 
-Partition domains build one ``SoAState`` per
-:class:`~repro.network.domain.DomainNetwork` over the *full* topology
-shape — unowned routers are all-IDLE rows no kernel ever activates, so
-they cost memory but no time.  The static tables depend only on
-(topology, router config) and are identical across domains; passing
-``static_from=<sibling state>`` shares them by reference instead of
-rebuilding the O(R*P*T) lookahead table per domain.
+A partitioned fabric builds **one** ``SoAState`` over the *full*
+topology shape, shared by all of its sibling
+:class:`~repro.sim.vec.domain.VecDomain` instances: each domain owns a
+disjoint set of router rows and terminal entries, so one kernel call
+steps every domain at once and :meth:`SoAState.export_flow_state` cuts a
+domain's slice back out by id.
 """
 
 from __future__ import annotations
@@ -57,33 +56,8 @@ class SoAState:
     idle, every credit at ``buffer_depth``, every pointer at 0).
     """
 
-    #: Static (never mutated after construction) attributes, shared by
-    #: reference across same-shape states via ``static_from``.
-    _STATIC_COMMON = (
-        "R", "P", "V", "C", "T", "depth", "PV", "RP", "Pk",
-        "route_tab", "down_r", "down_p", "up_r", "up_p", "term_tab", "la_tab",
-        "output_first", "k", "gs", "policy_vix", "k_pol", "gs_pol", "sumcap",
-        "roll_va", "inc_va", "roll_va1",
-        "route1", "la1", "term1", "down_fi1", "up_cfi1",
-        "grp_mat", "_arV", "_args", "_arN", "_arNk", "_arNV",
-        "dirmap", "gof", "gtb", "_m2", "vix_bonus",
-        "ni_fi1", "ni_dir1",
-    )
-    _STATIC_OF = (
-        "roll_of1", "inc_of1", "roll_of2", "inc_of2", "roll_of1_1", "roll_of2_1",
-    )
-    _STATIC_IF = (
-        "roll_p1", "inc_p1", "roll_p2", "inc_p2", "g_base",
-        "roll_p1_1", "roll_p2_1",
-    )
-
-    def __init__(self, network, *, static_from: "SoAState | None" = None) -> None:
-        if static_from is not None:
-            extra = self._STATIC_OF if static_from.output_first else self._STATIC_IF
-            for name in self._STATIC_COMMON + extra:
-                setattr(self, name, getattr(static_from, name))
-        else:
-            self._build_static(network.topology, network.config)
+    def __init__(self, network) -> None:
+        self._build_static(network.topology, network.config)
         self._build_dynamic(network.config.router)
 
     def _build_static(self, topo, config) -> None:

@@ -3,19 +3,26 @@
 :class:`VecStepper` owns the hot path that used to live inside
 :class:`~repro.sim.vec.engine.VectorizedSimulation`: the fixed-size event
 ring, flit/credit delivery, the vectorized NI phase, and grant
-application over one :class:`~repro.sim.vec.state.SoAState`.  The
-monolithic engine drives one stepper over the whole network; the
-partitioned engine drives one per :class:`~repro.sim.vec.domain.VecDomain`.
+application over one :class:`~repro.sim.vec.state.SoAState`.  Either
+engine drives exactly one stepper over the whole topology: the monolithic
+engine over its :class:`~repro.network.network.Network`, the partitioned
+engine over the :class:`~repro.sim.vec.domain.VecFabric` its sibling
+domains share — routers are independent within a cycle, so one kernel
+call per cycle steps every domain and the size-independent numpy
+dispatch is paid once per fabric, not once per domain.
 
-Boundary traffic is the only difference between the two: a domain
-registers its cut-link ports via :meth:`add_egress`/:meth:`add_ingress`,
-and :meth:`apply_grants` diverts granted flits on masked output ports
-into :meth:`~repro.network.links.InterChipLink.send_flit` (and freed
-buffer credits on masked input ports into ``send_credit``) instead of the
-local ring — the exact calls the object engine's grant loop makes at a
+Boundary traffic is the only difference between the two: the fabric
+registers every cut link's ports via :meth:`add_egress`/
+:meth:`add_ingress`, and :meth:`apply_grants` diverts granted flits on
+masked output ports into
+:meth:`~repro.network.links.InterChipLink.send_flit` (and freed buffer
+credits on masked input ports into ``send_credit``) instead of the local
+ring — the exact calls the object engine's grant loop makes at a
 boundary, so link serialization, latency, and outbox behavior are
-identical across domain engines.  With no masks registered (the
-monolithic case) the masked branches never run.
+identical across domain engines.  The fabric also asks for a per-terminal
+ejection tally (:attr:`VecStepper.ejected`), from which each domain reads
+its own ``flits_ejected``.  With no masks and no tally (the monolithic
+case) the guarded branches never run.
 
 Per-cycle event uniqueness — at most one arrival per (router, input
 port) and one credit per (output port, VC) per cycle, including across
@@ -77,6 +84,7 @@ class VecStepper:
         "_egress_mask",
         "_ingress",
         "_ingress_mask",
+        "ejected",
     )
 
     def __init__(self, network, s: SoAState) -> None:
@@ -104,6 +112,9 @@ class VecStepper:
         self._egress_mask: np.ndarray | None = None
         self._ingress: dict[int, object] = {}
         self._ingress_mask: np.ndarray | None = None
+        #: Flits ejected per terminal since the owning domain last read
+        #: them; allocated by the partitioned fabric only.
+        self.ejected: np.ndarray | None = None
 
     # --- boundary registration ---------------------------------------------
 
@@ -139,14 +150,19 @@ class VecStepper:
     def pending_ring_index(self):
         """Pending ring events by target, for the invariant checker.
 
-        Returns ``(arrivals, credits)``: arrivals keyed ``(router, port,
-        vc) -> count`` and credits keyed ``(router, port, vc)`` for router
-        output VCs / ``("ni", terminal, vc)`` for NI injection credits.
+        Returns ``(arrivals, credits, ejections)``: arrivals keyed
+        ``(router, port, vc) -> count``, credits keyed ``(router, port,
+        vc)`` for router output VCs / ``("ni", terminal, vc)`` for NI
+        injection credits, and the destination terminal of every flit
+        between its ejection grant and its delivery.
         """
         s = self.s
         arrivals: dict[tuple, int] = {}
         credits: dict[tuple, int] = {}
+        ejections: list[int] = []
         for slot in self._slots:
+            for terms, _pks, _tails in slot["ej"]:
+                ejections.extend(terms.tolist())
             for fi, _pk, _sq in slot["arr"]:
                 for f in np.asarray(fi).reshape(-1).tolist():
                     key = (f // s.PV, (f // s.V) % s.P, f % s.V)
@@ -159,7 +175,7 @@ class VecStepper:
                 for c in np.asarray(cfi).reshape(-1).tolist():
                     key = ("ni", c // s.V, c % s.V)
                     credits[key] = credits.get(key, 0) + 1
-        return arrivals, credits
+        return arrivals, credits, ejections
 
     # --- per-cycle phases ---------------------------------------------------
 
@@ -222,8 +238,13 @@ class VecStepper:
         in_window = stats.window_start <= now < stats.window_end
         by_creation = stats.window_by_creation
         ws, we = stats.window_start, stats.window_end
+        ejected = self.ejected
         for terms, pks, tails in slot["ej"]:
             n = len(terms)
+            if ejected is not None:
+                # One grant per ejection port per cycle: terminals are
+                # distinct within a chunk, so fancy += is exact.
+                ejected[terms] += 1
             counters.flits_ejected += n
             self.net._in_flight_flits -= n
             if in_window:

@@ -37,9 +37,11 @@ ENGINE_COUNTERS = ("router_wakeups", "cycles_skipped", "vec_kernel_cycles")
 WINDOWS = dict(warmup=100, measure=300, drain_limit=400)
 
 
-def _config(allocator: str = "input_first", num_terminals: int = 64) -> NetworkConfig:
+def _config(
+    allocator: str = "input_first", num_terminals: int = 64, topology: str = "mesh"
+) -> NetworkConfig:
     return NetworkConfig(
-        topology="mesh",
+        topology=topology,
         num_terminals=num_terminals,
         router=RouterConfig(num_vcs=4, allocator=allocator),
     )
@@ -199,8 +201,38 @@ class TestEngineSelection:
         assert res.counters["partition_domains"] == 4
 
 
+#: Operating points of the vectorized-domain cases: the low-load mesh,
+#: and the benchmark's ``cmesh16_chiplet`` point (CMesh, VIX, saturation,
+#: link latency 4, no drain phase) on a small fabric.  ``allocator`` is
+#: for the worker-count case, which does not sweep it.
+VEC_POINTS = {
+    "mesh-low": dict(
+        topology="mesh", allocator="input_first", injection_rate=0.1, windows=WINDOWS
+    ),
+    "cmesh-sat": dict(
+        topology="cmesh",
+        allocator="vix",
+        injection_rate=1.0,
+        windows=dict(warmup=50, measure=150, drain_limit=0),
+    ),
+}
+
+
+def _at_vec_points(values) -> list:
+    """``(value, point)`` cases; the low-load mesh keeps the bare value id."""
+    return [
+        pytest.param(v, point, id=str(v) if name == "mesh-low" else f"{v}-{name}")
+        for v in values
+        for name, point in VEC_POINTS.items()
+    ]
+
+
 class TestVectorizedDomains:
-    """ISSUE 10: SoA-kernel domains behind the SimDomain contract."""
+    """ISSUE 10: SoA-kernel domains behind the SimDomain contract.
+
+    ISSUE 16: sibling domains share one SoA state and one stepper, so a
+    fabric cycle is one kernel call however many domains it spans.
+    """
 
     @pytest.fixture(autouse=True)
     def _numpy(self):
@@ -223,11 +255,14 @@ class TestVectorizedDomains:
         assert part.flow_state() == mono.flow_state()
 
     @pytest.mark.parametrize(
-        "allocator", ["input_first", "output_first", "vix", "ideal_vix"]
+        "allocator, point",
+        _at_vec_points(["input_first", "output_first", "vix", "ideal_vix"]),
     )
-    def test_2x2_matches_gated_domains(self, allocator):
-        cfg = _config(allocator)
-        kwargs = dict(injection_rate=0.1, seed=1, **WINDOWS)
+    def test_2x2_matches_gated_domains(self, allocator, point):
+        cfg = _config(allocator, topology=point["topology"])
+        kwargs = dict(
+            injection_rate=point["injection_rate"], seed=1, **point["windows"]
+        )
         gated = run_simulation(
             cfg,
             partition=_partition((2, 2), link_latency=4, domain_engine="gated"),
@@ -241,23 +276,26 @@ class TestVectorizedDomains:
         assert _comparable(gated) == _comparable(vec)
 
     def test_2x2_flow_state_matches_gated_domains(self):
-        cfg = _config("vix")
-        sims = {}
-        for de in ("gated", "vectorized"):
-            sim = PartitionedSimulation(
-                cfg,
-                partition=_partition((2, 2), link_latency=2, domain_engine=de),
-                injection_rate=0.1,
-                seed=1,
-            )
-            sim.run(warmup=50, measure=150, drain_limit=0)
-            sims[de] = sim
-        assert sims["vectorized"].flow_state() == sims["gated"].flow_state()
+        for name, point in VEC_POINTS.items():
+            cfg = _config("vix", topology=point["topology"])
+            sims = {}
+            for de in ("gated", "vectorized"):
+                sim = PartitionedSimulation(
+                    cfg,
+                    partition=_partition((2, 2), link_latency=2, domain_engine=de),
+                    injection_rate=point["injection_rate"],
+                    seed=1,
+                )
+                sim.run(warmup=50, measure=150, drain_limit=0)
+                sims[de] = sim
+            assert sims["vectorized"].flow_state() == sims["gated"].flow_state(), name
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_workers_match_serial(self, workers):
-        cfg = _config()
-        kwargs = dict(injection_rate=0.1, seed=1, **WINDOWS)
+    @pytest.mark.parametrize("workers, point", _at_vec_points([2, 4]))
+    def test_workers_match_serial(self, workers, point):
+        cfg = _config(point["allocator"], topology=point["topology"])
+        kwargs = dict(
+            injection_rate=point["injection_rate"], seed=1, **point["windows"]
+        )
         serial = run_simulation(
             cfg,
             partition=_partition((2, 2), link_latency=4, domain_engine="vectorized"),
@@ -289,6 +327,57 @@ class TestVectorizedDomains:
             for de in ("gated", "vectorized")
         ]
         assert _comparable(results[0]) == _comparable(results[1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_kernel_call_per_fabric_cycle(self, workers, monkeypatch):
+        """Stacking guard, as a count: sibling domains share one stepper.
+
+        Stepping each domain through its own kernel call would make four
+        ``va_kernel`` calls per cycle (two per worker at ``workers=2``) and
+        report four kernel cycles per fabric cycle.
+        """
+        import multiprocessing as mp
+
+        from repro.sim.vec import stepping
+
+        calls = mp.get_context("fork").Value("i", 0)  # forked workers count too
+        va_kernel = stepping.va_kernel
+
+        def counted(s):
+            with calls.get_lock():
+                calls.value += 1
+            return va_kernel(s)
+
+        monkeypatch.setattr(stepping, "va_kernel", counted)
+        res = run_simulation(
+            _config("vix"),
+            partition=_partition(
+                (2, 2), link_latency=4, domain_engine="vectorized", workers=workers
+            ),
+            injection_rate=0.1,
+            seed=1,
+            **WINDOWS,
+        )
+        stepped = res.counters["cycles"] - res.counters["cycles_skipped"]
+        assert res.counters["vec_kernel_cycles"] == stepped
+        assert 0 < calls.value <= workers * stepped
+
+    def test_metrics_and_trace_rejected_by_name(self):
+        """Probes hook object allocators the kernel never calls: asking for
+        them must fail at construction, not report zero grants."""
+        from repro.obs import ObservabilityConfig
+
+        kwargs = dict(
+            partition=_partition((2, 2), domain_engine="vectorized"),
+            injection_rate=0.1,
+            seed=1,
+        )
+        for obs in (ObservabilityConfig(metrics=True), ObservabilityConfig(trace=True)):
+            with pytest.raises(ValueError, match="domain_engine='gated'"):
+                PartitionedSimulation(_config("vix"), obs=obs, **kwargs)
+        PartitionedSimulation(
+            _config("vix"), obs=ObservabilityConfig(profile=True), **kwargs
+        )
 
     def test_unsupported_scheme_fails_loudly(self):
         """Non-vectorizable allocators must name the object fallbacks."""

@@ -24,14 +24,21 @@ from repro.sim.partition import (
 )
 
 
-def _sim(**partition_kwargs) -> PartitionedSimulation:
+def _sim(
+    topology: str = "mesh",
+    allocator: str = "input_first",
+    injection_rate: float = 0.1,
+    **partition_kwargs,
+) -> PartitionedSimulation:
     cfg = NetworkConfig(
-        topology="mesh",
+        topology=topology,
         num_terminals=64,
-        router=RouterConfig(num_vcs=4, allocator="input_first"),
+        router=RouterConfig(num_vcs=4, allocator=allocator),
     )
     partition = PartitionConfig(dims=(2, 2), **partition_kwargs)
-    return PartitionedSimulation(cfg, partition=partition, injection_rate=0.1, seed=1)
+    return PartitionedSimulation(
+        cfg, partition=partition, injection_rate=injection_rate, seed=1
+    )
 
 
 class TestInvariantsHold:
@@ -102,6 +109,22 @@ class TestInvariantsHold:
         sim.on_cycle = lambda s: s.cycle % 5 or check_invariants(s)
         sim.run(warmup=50, measure=200, drain_limit=300)
         check_invariants(sim)
+
+    def test_vectorized_domains_at_saturation(self):
+        """The chiplet benchmark's operating point (CMesh, VIX, saturated
+        sources, link latency 4, no drain) on one shared SoA state."""
+        pytest.importorskip("numpy")
+        sim = _sim(
+            topology="cmesh",
+            allocator="vix",
+            injection_rate=1.0,
+            link_latency=4,
+            domain_engine="vectorized",
+        )
+        sim.on_cycle = lambda s: s.cycle % 5 or check_invariants(s)
+        result = sim.run(warmup=50, measure=150, drain_limit=0)
+        check_invariants(sim)
+        assert result.counters["interchip_flits"] > 0
 
 
 class TestViolationsDetected:
