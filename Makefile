@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-fast bench-full bench-baseline bench-obs bench-partition bench-partition-vec fault-smoke telemetry-smoke bench-trajectory partition-equivalence partition-invariants partition-vectorized examples all clean
+.PHONY: install test bench bench-fast bench-full bench-baseline bench-obs bench-partition bench-partition-vec fault-smoke telemetry-smoke bench-trajectory engine-equivalence partition-equivalence partition-invariants partition-vectorized examples all clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -46,6 +46,13 @@ telemetry-smoke:
 # PR's headline ratio against its regression guard.
 bench-trajectory:
 	$(PYTHON) scripts/bench_report.py --check
+
+# Golden-output gate for the default engine: the f8/f9/t1 reports with
+# no engine named (vectorized where the SoA kernel can run, gated
+# elsewhere) must be byte-identical to the dense reference loop's (modulo
+# the [perf_counters] footer).
+engine-equivalence:
+	$(PYTHON) scripts/check_partition.py --engines
 
 # Golden-output gate for the chiplet-partitioned engine: f8/t1 reports
 # with a 1x1 partition and zero-latency links must be byte-identical to

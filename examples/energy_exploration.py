@@ -36,7 +36,7 @@ def energy_per_bit(allocator: str, rate: float) -> float:
         num_routers=64,
         flit_width_bits=cfg.flit_width_bits,
     )
-    return model.evaluate(ActivityCounters(**res.counters)).per_bit
+    return model.evaluate(ActivityCounters.from_counters(res.counters)).per_bit
 
 
 def main() -> None:

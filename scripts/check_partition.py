@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""CI gates for the chiplet-partitioned engine (PR 9; vectorized PR 10).
+"""CI gates for the chiplet-partitioned engine (PR 9; vectorized PR 10)
+and for the default engine (PR 17).
 
-Three independent checks, all run by default:
+Four independent checks, all run by default:
 
 * ``--equivalence`` — the golden-output gate.  The full f8 and t1
   reports are generated twice: once on the monolithic dense engine and
@@ -31,9 +32,15 @@ Three independent checks, all run by default:
   chiplet benchmark's operating point), and workers=2 runs must match
   serial.
 
-Both checks run the simulations in subprocess-free, cache-free process
-state where possible; the equivalence reports go through the real CLI
-in subprocesses so the comparison covers the whole stack.
+* ``--engines`` — the default-engine golden-output gate.  The f8, f9
+  (the augmenting-path unfairness figure) and t1 reports with no engine
+  named — vectorized wherever the SoA kernel can run, gated elsewhere —
+  must be byte-identical to the ``REPRO_ENGINE=dense`` reference loop's,
+  modulo the ``[perf_counters]`` footer.
+
+The checks run the simulations in subprocess-free, cache-free process
+state where possible; the report comparisons go through the real CLI
+in subprocesses so they cover the whole stack.
 """
 
 from __future__ import annotations
@@ -52,8 +59,13 @@ VOLATILE_MARKERS = ("[perf_counters]",)
 
 
 def _report(experiment: str, extra_env: dict[str, str]) -> list[str]:
-    """One experiment report via the real CLI, volatile lines removed."""
+    """One experiment report via the real CLI, volatile lines removed.
+
+    ``REPRO_ENGINE`` is taken from ``extra_env`` only: a side that does not
+    name an engine is the built-in default, whatever the caller exported.
+    """
     env = dict(os.environ)
+    env.pop("REPRO_ENGINE", None)
     env["PYTHONPATH"] = SRC
     env["REPRO_NO_CACHE"] = "1"
     env.update(extra_env)
@@ -76,34 +88,57 @@ def _report(experiment: str, extra_env: dict[str, str]) -> list[str]:
     ]
 
 
+def _reports_match(
+    tag: str,
+    experiment: str,
+    reference: tuple[str, dict[str, str]],
+    other: tuple[str, dict[str, str]],
+) -> bool:
+    """``experiment``'s report under two ``(label, environment)`` sides."""
+    reports = []
+    for label, env in (reference, other):
+        print(f"[{tag}] {experiment}: {label} ...", flush=True)
+        reports.append(_report(experiment, env))
+    ref, new = reports
+    if ref == new:
+        print(f"[{tag}] {experiment}: OK ({len(ref)} lines identical)")
+        return True
+    print(f"[{tag}] {experiment}: REPORTS DIFFER")
+    for i, (a, b) in enumerate(zip(ref, new)):
+        if a != b:
+            print(f"  line {i + 1}:")
+            print(f"    {reference[0]}: {a}")
+            print(f"    {other[0]}: {b}")
+            break
+    if len(ref) != len(new):
+        print(f"  line counts differ: {reference[0]} {len(ref)}, {other[0]} {len(new)}")
+    return False
+
+
+DENSE = ("monolithic dense", {"REPRO_ENGINE": "dense"})
+
+
 def check_equivalence(experiments: tuple[str, ...] = ("f8", "t1")) -> bool:
     """1x1-partition-zero-latency reports == monolithic dense reports."""
+    part = (
+        "partitioned 1x1",
+        {
+            "REPRO_ENGINE": "partitioned",
+            "REPRO_PARTITION": "1x1",
+            "REPRO_LINK_LATENCY": "0",
+        },
+    )
     ok = True
     for experiment in experiments:
-        print(f"[equivalence] {experiment}: monolithic dense ...", flush=True)
-        dense = _report(experiment, {"REPRO_ENGINE": "dense"})
-        print(f"[equivalence] {experiment}: partitioned 1x1 ...", flush=True)
-        part = _report(
-            experiment,
-            {
-                "REPRO_ENGINE": "partitioned",
-                "REPRO_PARTITION": "1x1",
-                "REPRO_LINK_LATENCY": "0",
-            },
-        )
-        if dense == part:
-            print(f"[equivalence] {experiment}: OK ({len(dense)} lines identical)")
-            continue
-        ok = False
-        print(f"[equivalence] {experiment}: REPORTS DIFFER")
-        for i, (a, b) in enumerate(zip(dense, part)):
-            if a != b:
-                print(f"  line {i + 1}:")
-                print(f"    dense:       {a}")
-                print(f"    partitioned: {b}")
-                break
-        if len(dense) != len(part):
-            print(f"  line counts differ: dense {len(dense)}, partitioned {len(part)}")
+        ok &= _reports_match("equivalence", experiment, DENSE, part)
+    return ok
+
+
+def check_engines(experiments: tuple[str, ...] = ("f8", "f9", "t1")) -> bool:
+    """Default-engine reports == monolithic dense reports."""
+    ok = True
+    for experiment in experiments:
+        ok &= _reports_match("engines", experiment, DENSE, ("default engine", {}))
     return ok
 
 
@@ -198,32 +233,20 @@ def check_vectorized() -> bool:
     # CLI-level golden gate: monolithic vectorized vs 1x1 vec partition.
     # f12 (not f8): every f12 allocator has an SoA formulation, so the
     # strict fail-loud domain-engine contract never trips.
-    print("[vectorized] f12: monolithic vectorized ...", flush=True)
-    mono = _report("f12", {"REPRO_ENGINE": "vectorized"})
-    print("[vectorized] f12: partitioned 1x1 vectorized domains ...", flush=True)
-    part = _report(
+    ok &= _reports_match(
+        "vectorized",
         "f12",
-        {
-            "REPRO_ENGINE": "partitioned",
-            "REPRO_PARTITION": "1x1",
-            "REPRO_LINK_LATENCY": "0",
-            "REPRO_DOMAIN_ENGINE": "vectorized",
-        },
+        ("monolithic vectorized", {"REPRO_ENGINE": "vectorized"}),
+        (
+            "partitioned 1x1 vectorized domains",
+            {
+                "REPRO_ENGINE": "partitioned",
+                "REPRO_PARTITION": "1x1",
+                "REPRO_LINK_LATENCY": "0",
+                "REPRO_DOMAIN_ENGINE": "vectorized",
+            },
+        ),
     )
-    if mono == part:
-        print(f"[vectorized] f12: OK ({len(mono)} lines identical)")
-    else:
-        ok = False
-        print("[vectorized] f12: REPORTS DIFFER")
-        for i, (a, b) in enumerate(zip(mono, part)):
-            if a != b:
-                print(f"  line {i + 1}:")
-                print(f"    monolithic:  {a}")
-                print(f"    partitioned: {b}")
-                break
-        if len(mono) != len(part):
-            print(f"  line counts differ: monolithic {len(mono)}, "
-                  f"partitioned {len(part)}")
     # In-process: 2x2 vectorized domains == gated domains, per allocator,
     # plus worker-count invariance.
     import dataclasses
@@ -231,6 +254,7 @@ def check_vectorized() -> bool:
     from repro.network.config import NetworkConfig, RouterConfig
     from repro.network.links import PartitionConfig
     from repro.sim.partition import PartitionedSimulation
+    from repro.sim.vec import SUPPORTED_ALLOCATORS
 
     engine_counters = ("router_wakeups", "cycles_skipped", "vec_kernel_cycles")
 
@@ -271,7 +295,7 @@ def check_vectorized() -> bool:
         print(f"[vectorized] 2x2 {label}: MISMATCH in {diff}")
         return False
 
-    for allocator in ("input_first", "output_first", "vix", "ideal_vix"):
+    for allocator in SUPPORTED_ALLOCATORS:
         ok &= expect_equal(
             allocator,
             run_one(allocator, "gated"),
@@ -306,11 +330,14 @@ def main() -> int:
                         help="run only the 2x2 invariant smoke")
     parser.add_argument("--vectorized", action="store_true",
                         help="run only the vectorized-domain gates")
+    parser.add_argument("--engines", action="store_true",
+                        help="run only the default-engine-vs-dense golden-output gate")
     args = parser.parse_args()
-    explicit = args.equivalence or args.invariants or args.vectorized
+    explicit = args.equivalence or args.invariants or args.vectorized or args.engines
     run_eq = args.equivalence or not explicit
     run_inv = args.invariants or not explicit
     run_vec = args.vectorized or not explicit
+    run_eng = args.engines or not explicit
     ok = True
     if run_inv:
         ok &= check_invariants()
@@ -318,6 +345,8 @@ def main() -> int:
         ok &= check_equivalence()
     if run_vec:
         ok &= check_vectorized()
+    if run_eng:
+        ok &= check_engines()
     print("OK" if ok else "FAIL")
     return 0 if ok else 1
 

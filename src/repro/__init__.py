@@ -41,7 +41,11 @@ from repro.traffic import TrafficInjector, make_pattern
 # SimJob.key(), so all pre-1.2 cache entries are invalidated wholesale.
 # 1.6.0: partitioned runs on vectorized domains report ``vec_kernel_cycles``
 # once per fabric cycle instead of summed over domains.
-__version__ = "1.6.0"
+# 1.7.0: the default engine (no ``engine=``, no ``REPRO_ENGINE``) is
+# vectorized wherever the SoA kernel can run, so results stored under an
+# engine-less SimJob.key() carry different engine-bookkeeping counters
+# (``vec_kernel_cycles`` / ``router_wakeups``) than 1.6 wrote.
+__version__ = "1.7.0"
 
 __all__ = [
     "AugmentingPathAllocator",

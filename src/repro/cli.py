@@ -51,15 +51,22 @@ def _list_schemes() -> str:
         vc_policies,
     )
 
+    from repro.sim.vec import SUPPORTED_ALLOCATORS
+
     lines = ["registered schemes:"]
     for registry in (allocators, vc_policies, topologies, patterns, partitioners, links):
         entries = []
         for info in registry.infos():
             entry = info.name
+            if registry is allocators and info.name in SUPPORTED_ALLOCATORS:
+                entry += "*"
             if info.aliases:
                 entry += f" ({', '.join(info.aliases)})"
             entries.append(entry)
         lines.append(f"  {registry.kind}: {', '.join(entries)}")
+    lines.append(
+        "  (* has a struct-of-arrays kernel: runs on the vectorized engine by default)"
+    )
     return "\n".join(lines)
 
 
@@ -67,7 +74,10 @@ def _list_engines() -> str:
     """The engine registry: name, aliases, and capability flags."""
     from repro.registry import engines
 
-    lines = ["simulation engines (--engine NAME):"]
+    lines = [
+        "simulation engines (--engine NAME; unnamed = vectorized where it "
+        "can run, else gated):"
+    ]
     for info in engines.infos():
         aliases = f" ({', '.join(info.aliases)})" if info.aliases else ""
         flags = f" [{', '.join(sorted(info.flags))}]" if info.flags else ""
@@ -101,9 +111,10 @@ def main(argv: list[str] | None = None) -> int:
         "--engine",
         metavar="NAME",
         help="simulation engine backend for every fanned-out run: dense, "
-        "gated (default), or vectorized — see 'list' for aliases and "
-        "capabilities (equivalent to REPRO_ENGINE; non-vectorizable "
-        "schemes fall back to gated)",
+        "gated, or vectorized — see 'list' for aliases and capabilities "
+        "(equivalent to REPRO_ENGINE; non-vectorizable schemes fall back "
+        "to gated).  Default: vectorized wherever the configuration has "
+        "an array kernel and numpy is installed, gated otherwise",
     )
     parser.add_argument(
         "--no-cache",

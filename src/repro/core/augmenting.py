@@ -86,6 +86,19 @@ class AugmentingPathAllocator(SwitchAllocator):
                 )
         return grants
 
+    def export_pointers(self) -> dict:
+        """Snapshot of the per-port VC pointers (the matching is stateless).
+
+        The grant-relevant state the vectorized engine mirrors
+        (``SoAState.vc_ptr``), in the flow-state schema.
+        """
+        return {"vc": [arb.pointer for arb in self._vc_arbiters]}
+
+    def import_pointers(self, state: dict) -> None:
+        """Restore a snapshot produced by :meth:`export_pointers`."""
+        for arb, pointer in zip(self._vc_arbiters, state["vc"]):
+            arb._pointer = pointer % arb.num_requesters
+
     def reset(self) -> None:
         for arb in self._vc_arbiters:
             arb.reset()

@@ -116,6 +116,23 @@ class WavefrontAllocator(SwitchAllocator):
             )
         return grants
 
+    def export_pointers(self) -> dict:
+        """Snapshot of the priority diagonal and the per-port VC pointers.
+
+        The grant-relevant state the vectorized engine mirrors
+        (``SoAState.wf_diag`` / ``vc_ptr``), in the flow-state schema.
+        """
+        return {
+            "diagonal": self._diag,
+            "vc": [arb.pointer for arb in self._vc_arbiters],
+        }
+
+    def import_pointers(self, state: dict) -> None:
+        """Restore a snapshot produced by :meth:`export_pointers`."""
+        self._diag = state["diagonal"] % self._n
+        for arb, pointer in zip(self._vc_arbiters, state["vc"]):
+            arb._pointer = pointer % arb.num_requesters
+
     def reset(self) -> None:
         self._diag = 0
         for arb in self._vc_arbiters:

@@ -9,7 +9,7 @@ energy model multiplies them by per-event energy constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -35,6 +35,19 @@ class ActivityCounters:
     #: Cycles the engine fast-forwarded instead of stepping (subset of
     #: ``cycles``; they contribute static energy but no activity).
     cycles_skipped: int = 0
+
+    @classmethod
+    def from_counters(cls, counters: dict) -> "ActivityCounters":
+        """Build from a result's ``counters`` dict, declared fields only.
+
+        A ``SimulationResult.counters`` dict also carries whatever the
+        engine that ran it reports about itself (``vec_kernel_cycles``,
+        profile spans, ``partition_*`` keys); the energy model has no use
+        for those.
+        """
+        return cls(
+            **{f.name: counters[f.name] for f in fields(cls) if f.name in counters}
+        )
 
     def reset(self) -> None:
         """Zero every counter."""

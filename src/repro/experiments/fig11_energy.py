@@ -75,7 +75,7 @@ def run(
     for scenario in experiment.scenarios:
         sim = outcome.values[scenario.key]
         cfg = scenario.network_config()
-        counters = ActivityCounters(**sim.counters)
+        counters = ActivityCounters.from_counters(sim.counters)
         model = EnergyModel(
             radix=5,
             num_vcs=cfg.router.num_vcs,

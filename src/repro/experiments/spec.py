@@ -108,7 +108,8 @@ class ScenarioSpec:
     #: single_router scenarios, model keywords for analytic scenarios.
     options: tuple[tuple[str, Any], ...] = ()
     #: Simulation engine backend (registry name or alias) — network kind.
-    #: "" defers to the runtime default (``REPRO_ENGINE`` or gated).
+    #: "" defers to the runtime default (``REPRO_ENGINE``, else
+    #: :func:`repro.sim.engines.resolve_engine`'s built-in choice).
     engine: str = ""
     #: Chiplet partition scheme (partitioner registry name) — network
     #: kind.  "" = monolithic run; naming a scheme routes the scenario

@@ -205,7 +205,8 @@ class ExecutionStats:
     #: The vectorized engine adds a ``kernel`` phase (array-kernel time),
     #: which is how ``report_metrics.py`` attributes time to the SoA core.
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: Fresh jobs per resolved engine backend (cache hits excluded).
+    #: Fresh jobs per engine backend that stepped them (cache hits
+    #: excluded; a vectorized run that delegated counts under ``gated``).
     engine_jobs: dict[str, int] = field(default_factory=dict)
     #: Cycles executed through the SoA array kernel across the fresh runs
     #: (the vectorized counterpart of ``router_wakeups``; low-load runs
@@ -335,18 +336,17 @@ class ExecutionStats:
         return line
 
 
-def _resolved_engine(job: SimJob) -> str:
-    """The engine a job actually runs on: its own, or the runtime default."""
-    if job.partition is not None:
-        # A partition config forces the partitioned engine regardless of
-        # the environment default (run_simulation enforces the same).
-        return "partitioned"
-    name = job.canonical_engine()
-    if name is not None:
-        return name
-    from repro.sim.engines import default_engine
+def _resolved_engine(job: SimJob, counters: dict) -> str:
+    """The engine that stepped a finished job (see ``resolve_engine``).
 
-    return default_engine() or "gated"
+    Only ever asked about freshly executed jobs: resolving looks at the
+    configuration (it builds a topology), which a cache hit must not pay.
+    """
+    from repro.sim.engines import resolve_engine
+
+    return resolve_engine(
+        job.config, job.engine, partition=job.partition, counters=counters
+    )
 
 
 def _run_sim_job(job: SimJob) -> SimulationResult:
@@ -366,10 +366,11 @@ def _job_event_data(item, value) -> dict:
     """Telemetry payload extras for one finished job (best-effort)."""
     data: dict = {}
     try:
-        if isinstance(item, SimJob):
-            data["engine"] = _resolved_engine(item)
-            data["key"] = item.key()[:16]
         counters = getattr(value, "counters", None)
+        if isinstance(item, SimJob):
+            if isinstance(counters, dict):
+                data["engine"] = _resolved_engine(item, counters)
+            data["key"] = item.key()[:16]
         if isinstance(counters, dict):
             spans = spans_from_counters(counters)
             if spans:
@@ -563,7 +564,8 @@ class ParallelRunner:
                     results[i] = result
                     self.stats.jobs_run += 1
                     self.stats.absorb_counters(
-                        result.counters, engine=_resolved_engine(sim_jobs[i])
+                        result.counters,
+                        engine=_resolved_engine(sim_jobs[i], result.counters),
                     )
                     if self.cache is not None:
                         self.cache.put(keys[i], result)

@@ -269,10 +269,13 @@ def run_simulation(
     name is strict — an unsupported scheme on the vectorized engine
     raises.  ``None`` consults the ``REPRO_ENGINE`` environment default
     *leniently*: a non-vectorizable configuration falls back to the gated
-    object engine instead of failing, so a sweep mixing VIX with
-    wavefront jobs can still run under ``REPRO_ENGINE=vectorized``.
-    When neither names an engine, ``activity_gating`` selects between the
-    two object engines exactly as before.
+    object engine with a ``RuntimeWarning`` instead of failing, so a sweep
+    mixing VIX with packet-chaining jobs can still run under
+    ``REPRO_ENGINE=vectorized``.  When neither names an engine the
+    built-in default applies: ``vectorized`` for every configuration the
+    SoA kernel can run (and numpy importable), ``gated`` for the rest,
+    ``dense`` when ``activity_gating=False`` — all byte-identical.
+    :func:`repro.sim.engines.resolve_engine` is that rule.
 
     ``partition`` (a :class:`~repro.network.links.PartitionConfig`)
     selects the ``partitioned`` engine with that domain decomposition; it
@@ -280,6 +283,11 @@ def run_simulation(
     ``engine="partitioned"`` (or ``REPRO_ENGINE=partitioned``) without a
     config resolves one from the ``REPRO_PARTITION*`` environment.
     """
+    from repro.sim.engines import make_engine, resolve_engine
+
+    chosen = resolve_engine(
+        config, engine, partition=partition, activity_gating=activity_gating
+    )
     sim_kwargs = dict(
         pattern=pattern,
         injection_rate=injection_rate,
@@ -289,45 +297,9 @@ def run_simulation(
         fast_injection=fast_injection,
         obs=obs,
     )
-    from repro.registry import engines as engine_registry
-    from repro.sim.engines import default_engine, make_engine
-
-    chosen = engine
-    if partition is not None:
-        if engine is not None and engine_registry.canonical(engine) != "partitioned":
-            raise ValueError(
-                f"partition config conflicts with explicit engine {engine!r}; "
-                f"drop one (a partitioned run must use the 'partitioned' engine)"
-            )
-        chosen = "partitioned"
-    if chosen is None:
-        chosen = default_engine()
-        if chosen is not None:
-            from repro.sim.vec.support import vectorization_unsupported_reason
-
-            if engine_registry.canonical(chosen) == "vectorized":
-                reason = vectorization_unsupported_reason(config)
-                if reason is not None:
-                    # Lenient environment default: fall back to the gated
-                    # object engine, but say so — a silently substituted
-                    # engine is indistinguishable from a vectorized run.
-                    import warnings
-
-                    warnings.warn(
-                        f"REPRO_ENGINE=vectorized does not support this "
-                        f"configuration (allocator "
-                        f"{config.router.allocator!r}: {reason}); running "
-                        f"on the 'gated' engine instead",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    chosen = "gated"
-    if chosen is not None:
-        if engine_registry.canonical(chosen) == "partitioned":
-            sim_kwargs["partition"] = partition
-        sim = make_engine(chosen, config, **sim_kwargs)
-    else:
-        sim = Simulation(config, activity_gating=activity_gating, **sim_kwargs)
+    if chosen == "partitioned":
+        sim_kwargs["partition"] = partition
+    sim = make_engine(chosen, config, **sim_kwargs)
     return sim.run(warmup=warmup, measure=measure, drain_limit=drain_limit)
 
 

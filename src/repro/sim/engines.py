@@ -7,13 +7,17 @@ executed:
 
 * ``dense`` — object stepping visiting every router and NI every cycle
   (the original reference loop; equivalence/benchmark baseline);
-* ``gated`` — object stepping visiting only active components (the
-  default: fastest at low load, ~parity with dense at saturation);
+* ``gated`` — object stepping visiting only active components (fastest
+  at low load, ~parity with dense at saturation; what the vectorized
+  engine delegates low-load runs to, and the fallback for everything the
+  kernel cannot express);
 * ``vectorized`` — a struct-of-arrays numpy kernel batching VC and switch
   allocation across every router per cycle (:mod:`repro.sim.vec`); wins at
   and past saturation.  Only schemes whose grant semantics have an array
-  formulation are supported (separable IF/OF and the VIX family); anything
-  else fails loudly through :func:`repro.sim.vec.require_vectorizable`;
+  formulation are supported (separable IF/OF, the VIX family, and the
+  wavefront / augmenting-path port-level matchers, on topologies without
+  dateline VC masking); anything else fails loudly through
+  :func:`repro.sim.vec.require_vectorizable`;
 * ``partitioned`` — chiplet-partitioned domain stepping
   (:mod:`repro.sim.partition`): the topology is cut into a grid of
   :class:`~repro.network.domain.DomainNetwork` instances joined by
@@ -26,11 +30,18 @@ The registry keeps this a normal scheme axis: ``--engine`` on the CLI,
 :class:`~repro.parallel.SimJob`, and :class:`~repro.experiments.spec.ScenarioSpec`
 all canonicalize through :data:`repro.registry.engines`, and ``python -m
 repro list`` prints the table below.
+
+**Which engine a request runs on** is answered in one place,
+:func:`resolve_engine`.  With no engine named anywhere the choice is made
+from what the code can observe: ``vectorized`` when the configuration is
+vectorizable and numpy imports, ``gated`` otherwise, silently — results
+are byte-identical either way.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from typing import TYPE_CHECKING
 
 from repro.registry import engines as engine_registry
@@ -98,7 +109,9 @@ engine_registry.register(
     _object_engine(True),
     aliases=("fast",),
     label="activity-gated object stepping",
-    provenance="default; byte-identical to dense, skips idle components",
+    provenance="byte-identical to dense, skips idle components; the "
+    "default where the SoA kernel cannot run (packet chaining, sparoflo, "
+    "torus, no numpy), and its low-load delegate",
     flags=(OBJECT_STEPPING, ACTIVITY_GATED),
 )
 engine_registry.register(
@@ -115,8 +128,9 @@ engine_registry.register(
     _vectorized_engine,
     aliases=("vec", "numpy", "soa"),
     label="struct-of-arrays numpy kernel",
-    provenance="batched per-cycle array ops; byte-identical to dense "
-    "for separable IF/OF and the VIX family",
+    provenance="batched per-cycle array ops; byte-identical to dense; "
+    "the default for every configuration it supports (starred "
+    "allocators; mesh, cmesh, fbfly)",
     flags=(SOA_KERNEL, REQUIRES_NUMPY, CAPABILITY_GATED),
 )
 
@@ -125,6 +139,88 @@ def default_engine() -> str | None:
     """The environment-selected default engine, or ``None`` when unset."""
     name = os.environ.get(ENGINE_ENV, "").strip()
     return engine_registry.canonical(name) if name else None
+
+
+def _numpy_imports() -> bool:
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
+def resolve_engine(
+    config: "NetworkConfig",
+    engine: str | None = None,
+    *,
+    partition=None,
+    activity_gating: bool = True,
+    counters: dict | None = None,
+) -> str:
+    """Canonical name of the engine that runs (or ran) this request.
+
+    The one resolver behind :func:`~repro.sim.engine.run_simulation`, the
+    runner's ``engines:`` footer and the telemetry ``engine`` field:
+
+    * a ``partition`` config means ``partitioned`` (any other explicit
+      ``engine`` conflicts and raises ``ValueError``);
+    * an explicit ``engine`` is taken as named — strict, so an
+      unsupported configuration fails when the engine is built;
+    * otherwise ``REPRO_ENGINE`` is a *lenient* preference: a
+      configuration the vectorized engine cannot run falls back to
+      ``gated`` with a ``RuntimeWarning``;
+    * with no engine named anywhere, ``activity_gating=False`` is the
+      ``dense`` reference loop, and the built-in default is ``vectorized``
+      when the SoA kernel can run the configuration here (scheme, VC
+      policy, topology, numpy importable) and ``gated`` when it cannot —
+      silently: no preference was stated, and results are byte-identical.
+
+    ``counters`` are the finished run's, when attributing one: a
+    vectorized run that never entered the kernel (it delegated, see
+    :class:`~repro.sim.vec.engine.VectorizedSimulation`) counts under the
+    ``gated`` engine that stepped it, and the fallback warning — already
+    given when the run was built — is not repeated.
+    """
+    if partition is not None:
+        if engine is not None and engine_registry.canonical(engine) != "partitioned":
+            raise ValueError(
+                f"partition config conflicts with explicit engine {engine!r}; "
+                f"drop one (a partitioned run must use the 'partitioned' engine)"
+            )
+        return "partitioned"
+    if engine is not None:
+        name = engine_registry.canonical(engine)
+    else:
+        name = default_engine()
+        if name is None and not activity_gating:
+            name = "dense"
+        elif name is None or name == "vectorized":
+            from repro.sim.vec.support import vectorization_unsupported_reason
+
+            stated = name is not None
+            reason = vectorization_unsupported_reason(config)
+            if reason is None and (stated or _numpy_imports()):
+                name = "vectorized"
+            else:
+                name = "gated"
+                if stated and counters is None:
+                    # A silently substituted engine is indistinguishable
+                    # from a vectorized run: say so.
+                    warnings.warn(
+                        f"REPRO_ENGINE=vectorized does not support this "
+                        f"configuration (allocator "
+                        f"{config.router.allocator!r}: {reason}); running "
+                        f"on the 'gated' engine instead",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+    if (
+        counters is not None
+        and name == "vectorized"
+        and "vec_kernel_cycles" not in counters
+    ):
+        name = "gated"
+    return name
 
 
 def make_engine(name: str, config: "NetworkConfig", **sim_kwargs):

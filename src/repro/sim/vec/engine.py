@@ -27,8 +27,9 @@ Two situations delegate the whole run to the activity-gated object engine
 
 Configurations outside the kernel's scheme coverage raise through
 :func:`~repro.sim.vec.support.require_vectorizable` at construction;
-lenient fallback (e.g. for the ``REPRO_ENGINE`` default) is the caller's
-job (see :func:`repro.sim.engine.run_simulation`).
+lenient fallback (for the ``REPRO_ENGINE`` preference and the built-in
+default) is decided before construction, by
+:func:`repro.sim.engines.resolve_engine`.
 """
 
 from __future__ import annotations

@@ -23,6 +23,9 @@ Order independence, which is what makes batching legal:
   most one winner per (router, output) and winners never collide;
 * SA phase 1 winners are per crossbar input, phase 2 winners per output —
   a granted (input VC, output) pair is unique both ways;
+* the port-level matchers (wavefront, augmenting-path) grant a matching
+  over each router's own P x P request matrix — at most one cell per row
+  and column — and the VC round-robin that follows runs per input port;
 * per-router allocator state (pointers, credits) is only read and written
   by that router's own arbitration, so routers are independent within a
   cycle (the object engine's sorted-rid loop has no cross-router effect).
@@ -30,13 +33,31 @@ Order independence, which is what makes batching legal:
 Only the VA VC *choice* stays sequential (the policy consumes one free
 output VC per round), replayed round by round over arrays that shrink to
 the few outputs with multiple same-cycle heads.
+
+The port-level matchers share one skeleton: scatter the request lines into
+a flat ``(R, P, P)`` 0/1 request matrix, match it per router, then let each
+matched input port round-robin among its VCs on the matched cell through
+the same sorted-offset primitive.  Wavefront's match is ``P`` waves of
+row/column-free masking over every router at once; augmenting-path's is a
+stateless function of the matrix, so each router's packed row is looked up
+in a bounded memo (:data:`AP_MEMO_CAP`) on the ``SoAState`` and only a miss
+runs :func:`repro.core.matching.kuhn_matching` — the object allocator's own
+search, same ascending scan order, so Figure 9's unfairness carries over
+by construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.matching import kuhn_matching
+
 from .state import ACTIVE, VA_WAIT, SoAState
+
+#: Entries the augmenting-path memo of one ``SoAState`` may hold; reaching
+#: it clears the memo (an 8x8-mesh saturation run sees a few thousand
+#: distinct request matrices).
+AP_MEMO_CAP = 1 << 14
 
 
 def rr_pick(mask: np.ndarray, ptr: np.ndarray, n: int) -> np.ndarray:
@@ -274,3 +295,131 @@ def sa_output_first(s: SoAState):
     win2 = order2[head2]
     s.of_in_ptr1[ig[win2]] = s.inc_of2[wout[win2]]
     return wfi[win2], wout[win2]
+
+
+def _sa_port_level(s: SoAState, match):
+    """Skeleton of the port-level matchers (wavefront, augmenting-path).
+
+    Scatters the request lines into the flat boolean ``(R, P, P)`` request
+    matrix (cell ``(r * P + i) * P + o``: some VC of input port ``i`` of
+    router ``r`` wants output ``o``), takes from ``match(s, req)`` the same
+    matrix holding only each router's matched cells (at most one per row
+    and column; ``req`` may be reused for it), then lets every matched
+    input port round-robin among its VCs on the matched cell.  The port's V:1 arbiter rotates past its winner —
+    ``RoundRobinArbiter.grant`` on the allocators' ``_vc_arbiters``, and
+    the lone-winner rotation of their ``allocate_fast``.  Returns ``(flat
+    VC index, output port)`` per grant.
+    """
+    sel = _sa_requests(s)
+    if sel is None:
+        return None
+    fi, out, _ = sel
+    V = s.V
+    ig = fi // V  # flat (router, input port) id
+    cell = ig * s.P + out
+    req = np.zeros(s.R * s.P * s.P, dtype=bool)
+    req[cell] = True
+    keep = match(s, req)[cell]
+    fi, out, ig = fi[keep], out[keep], ig[keep]
+    vc = fi % V
+    off = s.roll_vc1[s.vc_ptr1[ig] * V + vc]
+    order = np.argsort(ig * V + off)
+    win = order[_group_heads(ig[order])]
+    s.vc_ptr1[ig[win]] = s.inc_vc[vc[win]]
+    return fi[win], out[win]
+
+
+def _wavefront_match(s: SoAState, req: np.ndarray) -> np.ndarray:
+    """Rotating-diagonal sweep of every router's request matrix at once.
+
+    Wave ``w`` of router ``r`` visits the anti-diagonal ``(i + o) % P ==
+    (diag[r] + w) % P``; its cells share no row or column, so every
+    requested cell whose row and column are still free is granted at once
+    — the object allocator's per-input scan of a wave is order-free.  With
+    outputs counted from the router's own diagonal, ``o' = (o - diag[r]) %
+    P``, wave ``w`` pairs input ``i`` with ``o' = (w - i) % P`` at every
+    router, so the column-free mask is read and written through one static
+    permutation per wave.  The priority diagonal advances exactly when the
+    router had a request (the router calls neither ``allocate`` nor
+    ``allocate_fast`` otherwise).
+    """
+    R, P = s.R, s.P
+    diag = s.wf_diag
+    # swept[w * P + i, r]: flat cell input i of router r visits on wave w.
+    swept = s.wf_cell[:, diag]
+    swept += s.cell_base
+    busy = req.reshape(R, P * P).any(1)
+    diag[busy] = s.inc_wf[diag[busy]]
+    grant = req[swept]
+    waves = grant.reshape(P, P, R)
+    row_free = np.ones((P, R), dtype=bool)
+    col_free = np.ones((P, R), dtype=bool)  # indexed by o'
+    for w in range(P):
+        g = waves[w]
+        visit = s.wf_visit[w]
+        free = col_free[visit]
+        g &= row_free
+        g &= free
+        row_free ^= g
+        free ^= g
+        col_free[visit] = free
+    req[:] = False
+    req[swept[grant]] = True
+    return req
+
+
+def sa_wavefront(s: SoAState):
+    """Wavefront switch allocation (``WavefrontAllocator``)."""
+    return _sa_port_level(s, _wavefront_match)
+
+
+def _kuhn_solve(key: bytes, P: int) -> bytes:
+    """Maximum matching of one packed request matrix, as int16 bytes.
+
+    Element ``i`` is the output matched to input port ``i`` or -1 —
+    ``kuhn_matching`` over ascending adjacency lists, exactly what
+    ``AugmentingPathAllocator.allocate`` computes.
+    """
+    # packbits is big-endian: cell c of the matrix is bit (top - c).
+    bits = int.from_bytes(key, "big")
+    top = 8 * len(key) - 1
+    adj = [
+        [o for o in range(P) if bits >> (top - i * P - o) & 1] for i in range(P)
+    ]
+    return np.array(kuhn_matching(P, P, adj), dtype=np.int16).tobytes()
+
+
+def _kuhn_match(s: SoAState, req: np.ndarray) -> np.ndarray:
+    """Maximum matching per router, through the state's bounded memo.
+
+    The matching is a pure function of the router's request matrix: each
+    requesting router's bit-packed matrix keys ``s.ap_memo``, whose values
+    are immutable ``bytes``; only a miss runs the search.
+    """
+    R, P = s.R, s.P
+    packed = np.packbits(req.reshape(R, P * P), axis=1)
+    rids = np.flatnonzero(packed.any(1))
+    raw = packed[rids].tobytes()
+    width = packed.shape[1]
+    memo = s.ap_memo
+    matches = []
+    for start in range(0, len(raw), width):
+        key = raw[start : start + width]
+        match = memo.get(key)
+        if match is None:
+            match = _kuhn_solve(key, P)
+            if len(memo) >= AP_MEMO_CAP:
+                memo.clear()
+            memo[key] = match
+        matches.append(match)
+    # outs[n, i]: output matched to input port i of router rids[n], or -1.
+    outs = np.frombuffer(b"".join(matches), dtype=np.int16).reshape(-1, P)
+    cells = (rids[:, None] * P + s._arN[:P]) * P + outs
+    req[:] = False
+    req[cells[outs >= 0]] = True
+    return req
+
+
+def sa_augmenting_path(s: SoAState):
+    """Augmenting-path switch allocation (``AugmentingPathAllocator``)."""
+    return _sa_port_level(s, _kuhn_match)

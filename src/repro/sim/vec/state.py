@@ -25,7 +25,10 @@ packet — occupancy plus head seq reconstruct it exactly.
 
 Arbiter pointers live in integer tensors (one per arbitration point) with
 the same power-on value (0) and rotation rule as
-:class:`~repro.core.arbiter.RoundRobinArbiter`.  Static topology facts
+:class:`~repro.core.arbiter.RoundRobinArbiter`; which tensors exist
+depends on the scheme (separable phase-1/phase-2 pointers, or the
+port-level matchers' per-port VC pointers plus wavefront's priority
+diagonal).  Static topology facts
 (routing, lookahead, link endpoints) are precomputed once into lookup
 tables so the per-cycle kernels are pure array arithmetic.
 
@@ -42,6 +45,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.registry import allocators, vc_policies
+
+from .support import SA_KERNELS
 
 #: VC states, numerically identical to :class:`repro.network.buffer.VCState`.
 IDLE = 0
@@ -117,7 +122,13 @@ class SoAState:
 
         # --- allocation-scheme shape -----------------------------------------
         allocator = allocators.canonical(rc.allocator)
+        #: Name of the switch-allocation kernel (see ``support.SA_KERNELS``).
+        self.sa_kernel = SA_KERNELS[allocator]
         self.output_first = allocator == "output_first"
+        self.wavefront = allocator == "wavefront"
+        # Port-level matchers: one match over the P x P request matrix,
+        # then a V:1 round-robin per granted input port.
+        self.port_level = self.wavefront or allocator == "augmenting_path"
         # Crossbar inputs per port (phase-1/phase-2 arbiter shape).  OF is
         # registered as a conventional scheme (its registry factory drops
         # the configured virtual_inputs), so k is 1 there too, but keep the
@@ -150,6 +161,24 @@ class SoAState:
             self.inc_of1 = _inc(P * V)
             self.roll_of2 = _roll(P)
             self.inc_of2 = _inc(P)
+        elif self.port_level:
+            self.roll_vc1 = _roll(V).reshape(-1)
+            self.inc_vc = _inc(V)
+            if self.wavefront:
+                # The sweep in array form (see kernels.sa_wavefront).
+                # wf_cell[w * P + i, d] = i * P + (d + w - i) % P: the
+                # request-matrix cell input i visits on wave w of a sweep
+                # whose priority diagonal is d.  Measured from the diagonal,
+                # that output is o' = (w - i) % P at every router:
+                # wf_visit[w][i], a static permutation per wave.
+                ar = np.arange(P)
+                wave, inp = ar[:, None, None], ar[None, :, None]
+                self.wf_cell = (inp * P + (ar + wave - inp) % P).reshape(P * P, P)
+                self.wf_visit = list((ar[:, None] - ar) % P)
+                self.inc_wf = _inc(P)
+                # Flat request-matrix base of each router: cell (r, i, o)
+                # is r * P * P + i * P + o.
+                self.cell_base = np.arange(R) * (P * P)
         else:
             self.roll_p1 = _roll(self.gs)
             self.inc_p1 = _inc(self.gs)
@@ -170,7 +199,7 @@ class SoAState:
         if self.output_first:
             self.roll_of1_1 = self.roll_of1.reshape(-1)
             self.roll_of2_1 = self.roll_of2.reshape(-1)
-        else:
+        elif not self.port_level:
             self.roll_p1_1 = self.roll_p1.reshape(-1)
             self.roll_p2_1 = self.roll_p2.reshape(-1)
         self.roll_va1 = self.roll_va.reshape(-1)
@@ -255,6 +284,16 @@ class SoAState:
             # P:1 arbiter per input port (k is always 1 for OF).
             self.of_out_ptr = np.zeros((R, P), dtype=np.int64)
             self.of_in_ptr = np.zeros((R, P), dtype=np.int64)
+        elif self.port_level:
+            # One V:1 VC arbiter per input port (the allocators'
+            # ``_vc_arbiters``); wavefront adds its priority diagonal.
+            self.vc_ptr = np.zeros((R, P), dtype=np.int64)
+            if self.wavefront:
+                self.wf_diag = np.zeros(R, dtype=np.int64)
+            else:
+                # Augmenting-path memo: packed request row -> matched
+                # output per input port (see kernels.sa_augmenting_path).
+                self.ap_memo: dict[bytes, bytes] = {}
         else:
             # SA phase 1: one gs:1 arbiter per crossbar input (P*k of them);
             # phase 2: one (P*k):1 arbiter per output port.
@@ -277,6 +316,8 @@ class SoAState:
         if self.output_first:
             self.of_out_ptr1 = self.of_out_ptr.reshape(-1)
             self.of_in_ptr1 = self.of_in_ptr.reshape(-1)
+        elif self.port_level:
+            self.vc_ptr1 = self.vc_ptr.reshape(-1)
         else:
             self.in_ptr1 = self.in_ptr.reshape(-1)
             self.out_ptr1 = self.out_ptr.reshape(-1)
@@ -305,7 +346,8 @@ class SoAState:
         # --- packet interning -------------------------------------------------
         # Flits are not objects in the kernel: events carry (packet index,
         # seq) and the arrays above carry the rest.  The real Packet objects
-        # are kept (stats need ``ejected_cycle`` and ``created_cycle``).
+        # are kept until their tail ejects (stats need ``ejected_cycle`` and
+        # ``created_cycle``); ``VecStepper.deliver`` then clears the slot.
         self.packets: list = []
         cap = 4096
         self.pk_dst = np.zeros(cap, dtype=np.int64)
@@ -351,6 +393,10 @@ class SoAState:
                     "output": [int(x) for x in self.of_out_ptr[r]],
                     "input": [[int(self.of_in_ptr[r, p])] for p in range(self.P)],
                 }
+            elif self.port_level:
+                sa = {"vc": [int(x) for x in self.vc_ptr[r]]}
+                if self.wavefront:
+                    sa["diagonal"] = int(self.wf_diag[r])
             else:
                 sa = {
                     "input": [

@@ -37,13 +37,8 @@ import numpy as np
 
 from repro.network.flit import Flit, FlitType
 
-from .kernels import (
-    sa_input_first,
-    sa_output_first,
-    select_max_credit,
-    select_vix_dimension,
-    va_kernel,
-)
+from . import kernels
+from .kernels import select_max_credit, select_vix_dimension, va_kernel
 from .state import ACTIVE, IDLE, VA_WAIT, SoAState
 
 
@@ -90,7 +85,10 @@ class VecStepper:
     def __init__(self, network, s: SoAState) -> None:
         self.net = network
         self.s = s
-        self._sa = sa_output_first if s.output_first else sa_input_first
+        # Resolved through the module globals, not imported by name: an
+        # outside tracer that wraps ``kernels.sa_*`` is picked up by every
+        # stepper built after it.
+        self._sa = getattr(kernels, s.sa_kernel)
         rc = network.config.router
         self._pipe = rc.pipeline_stages
         self._cdel = rc.credit_delay
@@ -259,11 +257,15 @@ class VecStepper:
             # measurable at saturation); the window test hoists per chunk.
             per_src = stats.per_source_ejected
             latencies = stats.latencies
+            # The tail's ejection is the last read of an interned packet
+            # (boundary flits are rebuilt before they eject), so its slot
+            # is released here rather than kept for the life of the run.
             if by_creation:
                 # WindowStats: measured-ness keyed by created_cycle (a
                 # packet may be created in another worker's domain).
                 for pki in tpk:
                     packet = packets[pki]
+                    packets[pki] = None
                     packet.ejected_cycle = now
                     if in_window:
                         per_src[packet.src] += 1
@@ -274,6 +276,7 @@ class VecStepper:
                 outstanding = stats._outstanding
                 for pki in tpk:
                     packet = packets[pki]
+                    packets[pki] = None
                     packet.ejected_cycle = now
                     if in_window:
                         per_src[packet.src] += 1

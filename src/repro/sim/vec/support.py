@@ -1,15 +1,23 @@
 """Which configurations the vectorized engine can execute.
 
-The struct-of-arrays kernel batches *separable* round-robin arbitration:
-phase-1/phase-2 pointer updates are data-parallel across routers because
-each arbiter's decision depends only on its own pointer and request lines.
-Schemes whose grant rule is inherently sequential or graph-shaped have no
-such formulation and stay on the object engines:
+The struct-of-arrays kernel batches per-router arbitration across every
+router at once, which needs the grant rule in array form.  Two families
+have one (:data:`SA_KERNELS` names the kernel behind each scheme):
 
-* ``wavefront`` — diagonal-sweep priority couples every (input, output)
-  cell; the sweep order *is* the algorithm.
-* ``augmenting_path`` — maximum matching via path search over the request
-  graph.
+* the *separable* round-robin allocators (``input_first``,
+  ``output_first``, ``vix``, ``ideal_vix``) — each arbiter's decision
+  depends only on its own pointer and request lines, so both phases are
+  data-parallel sorted-offset picks;
+* the *port-level matchers* (``wavefront``, ``augmenting_path``) — a match
+  over each router's 0/1 request matrix followed by a per-input-port VC
+  round-robin.  Wavefront's rotating-diagonal sweep is ``P`` waves of
+  array-wide row/column masking; augmenting-path's maximum matching is a
+  stateless pure function of the matrix, looked up in a bounded memo whose
+  misses run the object allocator's own Kuhn search.
+
+Schemes that carry coupled state across cycles or rounds stay on the
+object engines:
+
 * ``packet_chaining`` — reuses last cycle's matching with chained holds.
 * ``sparoflo`` — multi-request iterative rounds with inter-round coupling.
 
@@ -31,8 +39,20 @@ from repro.topology.base import Topology
 if TYPE_CHECKING:
     from repro.network.config import NetworkConfig
 
+#: Canonical allocator name -> the :mod:`repro.sim.vec.kernels` function
+#: that switch-allocates for it.  The one table both the capability gate
+#: and the stepper's kernel choice read (the stepper resolves the name
+#: through the ``kernels`` module globals when it is built).
+SA_KERNELS = {
+    "input_first": "sa_input_first",
+    "output_first": "sa_output_first",
+    "wavefront": "sa_wavefront",
+    "augmenting_path": "sa_augmenting_path",
+    "vix": "sa_input_first",
+    "ideal_vix": "sa_input_first",
+}
 #: Allocator schemes (canonical names) with an array formulation.
-SUPPORTED_ALLOCATORS = ("input_first", "output_first", "vix", "ideal_vix")
+SUPPORTED_ALLOCATORS = tuple(SA_KERNELS)
 #: VC-selection policies the VA kernel implements.
 SUPPORTED_VC_POLICIES = ("max_credit", "vix_dimension")
 

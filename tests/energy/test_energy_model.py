@@ -26,6 +26,15 @@ class TestActivityCounters:
         assert snap["buffer_reads"] == 3
         assert ActivityCounters(**snap).link_traversals == 7
 
+    def test_from_counters_takes_declared_fields_only(self):
+        """A result's counters dict also carries engine bookkeeping
+        (kernel cycles, profile spans, partition keys)."""
+        snap = counters(buffer_reads=3, cycles=9).snapshot()
+        snap.update(vec_kernel_cycles=9, span_kernel_us=12, partition_domains=4)
+        built = ActivityCounters.from_counters(snap)
+        assert built == counters(buffer_reads=3, cycles=9)
+        assert ActivityCounters.from_counters({}) == ActivityCounters()
+
 
 class TestEnergyModel:
     def make(self, k=1):

@@ -27,6 +27,11 @@ class TestCLI:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "t1" in out and "f12" in out
+        # Allocators with an SoA kernel are starred, and the engine a run
+        # gets when none is named is stated.
+        assert "wavefront* (wf)" in out and "augmenting_path* (ap)" in out
+        assert "packet_chaining (pc)" in out
+        assert "unnamed = vectorized where it can run, else gated" in out
 
     def test_static_experiment(self, capsys):
         assert main(["t1"]) == 0

@@ -90,6 +90,15 @@ class TestSimulationExperiments:
         assert vix["crossbar"] > base["crossbar"]
         assert "pJ/bit" in fig11_energy.report(res)
 
+    @pytest.mark.parametrize("engine", ["dense", "gated", "vectorized"])
+    def test_f11_energy_on_every_engine(self, engine, monkeypatch):
+        """Whatever an engine adds to ``counters`` about itself (kernel
+        cycles, profile spans) must not reach the energy model."""
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        res = fig11_energy.run(fast=True, seed=2)
+        assert 0.0 < res.vix_total_overhead() < 0.15
+
     def test_f12_subset_sweep(self):
         res = fig12_virtual_inputs.run(
             topologies=("mesh",), vc_counts=(4,), fast=True, seed=2

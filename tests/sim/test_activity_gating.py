@@ -72,13 +72,15 @@ class TestDenseGatedEquivalence:
             drain_limit=300,
         )
         dense = run_simulation(cfg, activity_gating=False, **kwargs)
-        gated = run_simulation(cfg, activity_gating=True, **kwargs)
+        # Named: with no engine given, activity_gating=True is the built-in
+        # default, which steps vectorizable configs on the SoA kernel.
+        gated = run_simulation(cfg, engine="gated", **kwargs)
         assert _comparable(dense) == _comparable(gated)
 
     def test_gated_run_reports_wakeups(self):
         cfg = _config("vix", "mesh", 16)
         res = run_simulation(cfg, injection_rate=0.05, seed=1,
-                             warmup=100, measure=300)
+                             warmup=100, measure=300, engine="gated")
         assert res.counters["router_wakeups"] > 0
         # Per-cycle Bernoulli injection at rate > 0 keeps the injector
         # active every cycle, so gating alone never skips cycles.

@@ -256,7 +256,16 @@ class TestVectorizedDomains:
 
     @pytest.mark.parametrize(
         "allocator, point",
-        _at_vec_points(["input_first", "output_first", "vix", "ideal_vix"]),
+        _at_vec_points(
+            [
+                "input_first",
+                "output_first",
+                "vix",
+                "ideal_vix",
+                "wavefront",
+                "augmenting_path",
+            ]
+        ),
     )
     def test_2x2_matches_gated_domains(self, allocator, point):
         cfg = _config(allocator, topology=point["topology"])
@@ -276,8 +285,13 @@ class TestVectorizedDomains:
         assert _comparable(gated) == _comparable(vec)
 
     def test_2x2_flow_state_matches_gated_domains(self):
-        for name, point in VEC_POINTS.items():
-            cfg = _config("vix", topology=point["topology"])
+        # VIX at both points; the port-level matchers (priority diagonal,
+        # per-port VC pointers) at one each.
+        cases = [("vix", name) for name in VEC_POINTS]
+        cases += [("wavefront", "mesh-low"), ("augmenting_path", "cmesh-sat")]
+        for allocator, name in cases:
+            point = VEC_POINTS[name]
+            cfg = _config(allocator, topology=point["topology"])
             sims = {}
             for de in ("gated", "vectorized"):
                 sim = PartitionedSimulation(
@@ -288,7 +302,10 @@ class TestVectorizedDomains:
                 )
                 sim.run(warmup=50, measure=150, drain_limit=0)
                 sims[de] = sim
-            assert sims["vectorized"].flow_state() == sims["gated"].flow_state(), name
+            assert sims["vectorized"].flow_state() == sims["gated"].flow_state(), (
+                allocator,
+                name,
+            )
 
     @pytest.mark.parametrize("workers, point", _at_vec_points([2, 4]))
     def test_workers_match_serial(self, workers, point):

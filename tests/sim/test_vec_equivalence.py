@@ -14,33 +14,46 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
+from repro.core import make_allocator
 from repro.core.arbiter import rr_winner
+from repro.core.matching import hopcroft_karp, matching_size
+from repro.core.requests import RequestMatrix
 from repro.network.config import NetworkConfig, RouterConfig
+from repro.network.network import Network
 from repro.registry import UnknownSchemeError
 from repro.sim.engine import run_simulation
 from repro.sim.vec import (
     SUPPORTED_ALLOCATORS,
+    kernels,
     vectorization_unsupported_reason,
 )
 from repro.sim.vec.engine import VectorizedSimulation
 from repro.sim.vec.kernels import rr_pick
+from repro.sim.vec.state import ACTIVE, SoAState
 
 #: Counters measuring the engines themselves: allowed to differ (the dense
 #: loop never sleeps or runs the kernel, so it never counts either).
 ENGINE_COUNTERS = ("router_wakeups", "cycles_skipped", "vec_kernel_cycles")
 
 #: (allocator, vc_policy, virtual_inputs) points covering both separable
-#: phases, the VIX sub-group axis, and the ideal (per-VC) crossbar.
+#: phases, the VIX sub-group axis, the ideal (per-VC) crossbar, and the
+#: two port-level matchers.
 SCHEMES = (
     ("input_first", "max_credit", 1),
     ("input_first", "vix_dimension", 1),
     ("output_first", "max_credit", 1),
     ("vix", "vix_dimension", 2),
     ("ideal_vix", "vix_dimension", 4),
+    ("wavefront", "max_credit", 1),
+    ("augmenting_path", "max_credit", 1),
 )
+#: One point per set of allocator pointers the flow-state schema carries.
+STATE_SCHEMES = SCHEMES[:5:2] + SCHEMES[5:]
 
 RATES = (("0.05", 0.05), ("saturation", 1.0))
 SEEDS = (1, 2)
@@ -106,6 +119,21 @@ class TestDenseVectorizedEquivalence:
         vec = run_simulation(cfg, engine="vectorized", **kwargs)
         assert _comparable(dense) == _comparable(vec)
 
+    @pytest.mark.parametrize("topology,num_terminals",
+                             [("cmesh", 16), ("fbfly", 64)])
+    @pytest.mark.parametrize("allocator", ["wavefront", "augmenting_path"])
+    def test_port_level_matchers_beyond_radix_5(self, allocator, topology,
+                                                num_terminals):
+        """Radix 8 and 10: more waves, and a request matrix wider than one
+        64-bit word (the augmenting-path memo key is bytes, not an int)."""
+        cfg = _config(allocator, "max_credit", 1, topology=topology,
+                      num_terminals=num_terminals)
+        kwargs = dict(injection_rate=1.0, seed=3, **WINDOWS)
+        dense = run_simulation(cfg, engine="dense", **kwargs)
+        vec = run_simulation(cfg, engine="vectorized", **kwargs)
+        assert vec.counters["vec_kernel_cycles"] > 0
+        assert _comparable(dense) == _comparable(vec)
+
     def test_kernel_actually_ran(self):
         cfg = _config("input_first", "max_credit", 1)
         vec = run_simulation(cfg, engine="vectorized", injection_rate=1.0,
@@ -118,7 +146,7 @@ class TestFlowStateDriftGuard:
     output could in principle hide compensating credit/pointer errors."""
 
     @pytest.mark.parametrize("allocator,vc_policy,virtual_inputs",
-                             SCHEMES[::2], ids=[SCHEMES[i][0] for i in (0, 2, 4)])
+                             STATE_SCHEMES, ids=[s[0] for s in STATE_SCHEMES])
     def test_state_matches_after_identical_runs(self, allocator, vc_policy,
                                                 virtual_inputs):
         from repro.sim.engine import Simulation
@@ -129,7 +157,10 @@ class TestFlowStateDriftGuard:
         dense.run(**WINDOWS)
         vec = VectorizedSimulation(cfg, **kwargs)
         vec.run(**WINDOWS)
-        assert dense.flow_state() == vec.flow_state()
+        state = vec.flow_state()
+        # The guard must actually see the allocator's pointers.
+        assert all(r["sa_pointers"] is not None for r in state["routers"])
+        assert dense.flow_state() == state
 
     def test_roundtrip(self):
         import json
@@ -137,14 +168,20 @@ class TestFlowStateDriftGuard:
         from repro.network.state import export_flow_state, import_flow_state
         from repro.sim.engine import Simulation
 
-        cfg = _config("vix", "vix_dimension", 2)
-        sim = Simulation(cfg, injection_rate=0.5, seed=2)
-        sim.run(**WINDOWS)
-        state = sim.flow_state()
-        json.dumps(state)  # plain data, serializable as-is
-        fresh = Simulation(cfg, injection_rate=0.5, seed=2)
-        import_flow_state(fresh.network, state)
-        assert export_flow_state(fresh.network) == state
+        for scheme in (("vix", "vix_dimension", 2), ("wavefront", "max_credit", 1),
+                       ("augmenting_path", "max_credit", 1)):
+            cfg = _config(*scheme)
+            sim = Simulation(cfg, injection_rate=0.5, seed=2)
+            sim.run(**WINDOWS)
+            state = sim.flow_state()
+            json.dumps(state)  # plain data, serializable as-is
+            fresh = Simulation(cfg, injection_rate=0.5, seed=2)
+            power_on = export_flow_state(fresh.network)
+            assert [r["sa_pointers"] for r in power_on["routers"]] != [
+                r["sa_pointers"] for r in state["routers"]
+            ], scheme[0]
+            import_flow_state(fresh.network, state)
+            assert export_flow_state(fresh.network) == state, scheme[0]
 
     def test_import_rejects_mismatched_shape(self):
         from repro.network.state import import_flow_state
@@ -158,7 +195,7 @@ class TestFlowStateDriftGuard:
 
 
 class TestCapabilityGating:
-    @pytest.mark.parametrize("allocator", ("wavefront", "packet_chaining"))
+    @pytest.mark.parametrize("allocator", ("sparoflo", "packet_chaining"))
     def test_unsupported_allocator_raises(self, allocator):
         cfg = NetworkConfig(
             topology="mesh",
@@ -196,7 +233,7 @@ class TestCapabilityGating:
         cfg = NetworkConfig(
             topology="mesh",
             num_terminals=16,
-            router=RouterConfig(num_vcs=4, allocator="wavefront"),
+            router=RouterConfig(num_vcs=4, allocator="sparoflo"),
         )
         with pytest.warns(RuntimeWarning, match="'gated' engine instead"):
             result = run_simulation(cfg, injection_rate=0.1, seed=1, warmup=50,
@@ -228,6 +265,55 @@ class TestDelegation:
         assert sim._delegate is None
 
 
+#: The twin tests' fabric: a 2x2 mesh (4 routers, radix 5) with 4 VCs.
+TWIN_R, TWIN_P, TWIN_V = 4, 5, 4
+PORT_LEVEL = ("wavefront", "augmenting_path")
+#: Output requested by each (router, port, vc), -1 for none; about half
+#: the VCs request, so most routers are contended.
+_TABLE = st.lists(
+    st.one_of(st.just(-1), st.integers(-1, TWIN_P - 1)),
+    min_size=TWIN_R * TWIN_P * TWIN_V,
+    max_size=TWIN_R * TWIN_P * TWIN_V,
+)
+
+
+def _twin_state(allocator: str) -> SoAState:
+    s = SoAState(Network(_config(allocator, "max_credit", 1, num_terminals=4)))
+    assert (s.R, s.P, s.V) == (TWIN_R, TWIN_P, TWIN_V)
+    return s
+
+
+def _assert_twin(s: SoAState, allocator: str, requests: list[int]) -> None:
+    """One kernel call on ``requests`` vs one object allocator per router."""
+    table = np.array(requests).reshape(TWIN_R, TWIN_P, TWIN_V)
+    s.st[:] = np.where(table >= 0, ACTIVE, 0)
+    s.occ[:] = table >= 0
+    s.outp[:] = table
+    s.outv[:] = 0
+    before = s.export_flow_state(0)["routers"]
+    grants = getattr(kernels, f"sa_{allocator}")(s)
+    got = set()
+    if grants is not None:
+        for fi, out in zip(*(a.tolist() for a in grants)):
+            got.add((fi // s.PV, fi // s.V % s.P, fi % s.V, out))
+    after = s.export_flow_state(0)["routers"]
+    for r in range(TWIN_R):
+        twin = make_allocator(allocator, TWIN_P, TWIN_P, TWIN_V)
+        twin.import_pointers(before[r]["sa_pointers"])
+        matrix = RequestMatrix(TWIN_P, TWIN_P, TWIN_V)
+        for p, v in zip(*np.nonzero(table[r] >= 0)):
+            matrix.add(int(p), int(v), int(table[r, p, v]))
+        # The router calls its allocator only when something requests.
+        expected = twin.allocate(matrix) if matrix.has_requests() else []
+        mine = {g[1:] for g in got if g[0] == r}
+        assert mine == {tuple(g) for g in expected}, (allocator, r)
+        assert after[r]["sa_pointers"] == twin.export_pointers(), (allocator, r)
+        if allocator == "augmenting_path":
+            adj = [sorted(outs) for outs in matrix.port_request_sets()]
+            best = matching_size(hopcroft_karp(TWIN_P, TWIN_P, adj))
+            assert len(mine) == best, r
+
+
 class TestArbiterDriftGuard:
     """The batched round-robin rule is pinned to the scalar definition."""
 
@@ -243,6 +329,44 @@ class TestArbiterDriftGuard:
             if expected is None:
                 continue  # no requester: rr_pick's 0 is masked by callers
             assert picked[row] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        allocator=st.sampled_from(PORT_LEVEL),
+        requests=_TABLE,
+        vc_pointers=st.lists(st.integers(0, TWIN_V - 1), min_size=TWIN_R * TWIN_P,
+                             max_size=TWIN_R * TWIN_P),
+        diagonals=st.lists(st.integers(0, TWIN_P - 1), min_size=TWIN_R,
+                           max_size=TWIN_R),
+    )
+    def test_port_level_kernels_match_object_allocators(
+        self, allocator, requests, vc_pointers, diagonals
+    ):
+        """Grants and post-state of ``sa_wavefront`` / ``sa_augmenting_path``
+        equal their object allocator's, router by router, from any pointer
+        state; augmenting-path grants a maximum matching."""
+        s = _twin_state(allocator)
+        s.vc_ptr1[:] = vc_pointers
+        if allocator == "wavefront":
+            s.wf_diag[:] = diagonals
+        _assert_twin(s, allocator, requests)
+
+    def test_augmenting_path_memo_is_bounded(self, monkeypatch):
+        """A tiny cap forces evictions mid-run: grants stay the object
+        allocator's, the memo never outgrows the cap, and its values are
+        immutable."""
+        monkeypatch.setattr(kernels, "AP_MEMO_CAP", 3)
+        s = _twin_state("augmenting_path")
+        rng = np.random.default_rng(7)
+        keys = set()
+        for _ in range(40):
+            table = rng.integers(-1, TWIN_P, TWIN_R * TWIN_P * TWIN_V)
+            table[rng.random(table.size) < 0.5] = -1
+            _assert_twin(s, "augmenting_path", table.tolist())
+            assert 0 < len(s.ap_memo) <= 3
+            keys.update(s.ap_memo)
+        assert len(keys) > 3  # more distinct matrices than the memo holds
+        assert all(type(v) is bytes for v in s.ap_memo.values())
 
 
 class TestEngineInCacheIdentity:

@@ -240,6 +240,35 @@ class TestRunnerCaching:
         assert second.stats.jobs_run == 0 and second.stats.cache_hits == 3
         assert warm == cold
 
+    def test_engine_mix_names_the_engine_that_stepped(self, tmp_path, monkeypatch):
+        """The footer's ``engines:`` mix is read off what each run did, not
+        off the request: a delegated or fallen-back run counts as gated."""
+        pytest.importorskip("numpy")
+        import repro.sim.engines as engines
+
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_VEC_MIN_FLITS", raising=False)
+        jobs = [
+            small_job(injection_rate=0.5),  # default, busy: the kernel
+            small_job(injection_rate=0.02),  # default, delegates at low load
+            small_job("packet_chaining", injection_rate=0.5),  # no kernel
+            small_job(injection_rate=0.02, engine="vectorized"),  # named, delegates
+        ]
+        cache = ResultCache(tmp_path)
+        first = ParallelRunner(1, cache=cache)
+        first.run(jobs)
+        assert first.stats.engine_jobs == {"gated": 3, "vectorized": 1}
+        assert "engines: gated=3 vectorized=1" in first.stats.summary()
+
+        # A cache hit never resolves an engine (that builds a topology).
+        def resolved_on_a_hit(*args, **kwargs):
+            raise AssertionError("engine resolved on the cache-hit path")
+
+        monkeypatch.setattr(engines, "resolve_engine", resolved_on_a_hit)
+        second = ParallelRunner(1, cache=cache)
+        second.run(jobs)
+        assert second.stats.cache_hits == 4 and not second.stats.engine_jobs
+
     def test_sweep_cache_hit_rate(self, tmp_path):
         cache = ResultCache(tmp_path)
         cfg = small_config()
