@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-fast bench-full bench-baseline bench-obs bench-partition bench-partition-vec fault-smoke telemetry-smoke bench-trajectory engine-equivalence partition-equivalence partition-invariants partition-vectorized examples all clean
+.PHONY: install test bench bench-fast bench-full bench-harness fault-smoke telemetry-smoke engine-equivalence partition-equivalence partition-invariants partition-vectorized examples all clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -21,16 +21,10 @@ bench-fast:
 bench-full:
 	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Perf-trajectory point: dense vs activity-gated stepping on the 8x8 mesh.
-# The result (BENCH_PR2.json) is committed; CI smoke-checks against it.
-bench-baseline:
-	$(PYTHON) scripts/bench_pr2.py --out BENCH_PR2.json
-
-# Perf-trajectory point: observability overhead (disabled / metrics /
-# trace-at-1%).  The result (BENCH_PR3.json) is committed; CI
-# smoke-checks against it.
-bench-obs:
-	$(PYTHON) scripts/bench_pr3.py --out BENCH_PR3.json
+# Self-tests of the benchmarks/perf harness (seconds; correctness only).
+# `python3 benchmarks/perf/run.py` is the measurement itself.
+bench-harness:
+	$(PYTHON) -m pytest benchmarks/perf -q
 
 # Fault-tolerance smoke: a crashed and a hung worker must not change one
 # reported number, and the run journal must record the kills/retries.
@@ -41,11 +35,6 @@ fault-smoke:
 # sweep; report byte-identical to a plain run, endpoints live mid-run.
 telemetry-smoke:
 	$(PYTHON) scripts/check_telemetry_smoke.py
-
-# Merge every committed BENCH_*.json into one table and check each perf
-# PR's headline ratio against its regression guard.
-bench-trajectory:
-	$(PYTHON) scripts/bench_report.py --check
 
 # Golden-output gate for the default engine: the f8/f9/t1 reports with
 # no engine named (vectorized where the SoA kernel can run, gated
@@ -72,25 +61,12 @@ partition-invariants:
 partition-vectorized:
 	$(PYTHON) scripts/check_partition.py --vectorized
 
-# Perf-trajectory point: chiplet-partitioned engine (serial + workers)
-# vs monolithic dense/gated on a 32x32 mesh.  The result
-# (BENCH_PR9.json) is committed; CI guards its recorded ratios.
-bench-partition:
-	$(PYTHON) scripts/bench_engines.py --partition --measure 400 --warmup 200 --repeats 2
-
-# Perf-trajectory point: vectorized (SoA) domains vs gated (object)
-# domains on a 2x2-partitioned 16x16 cmesh, serial and workers.  The
-# result (BENCH_PR10.json) is committed; CI guards its recorded ratios.
-bench-partition-vec:
-	$(PYTHON) scripts/bench_engines.py --partition-vec --measure 2000 --repeats 3
-
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; echo; done
 
 all: test bench
 
-# Removes scratch outputs only.  Committed BENCH_*.json trajectory
-# baselines (e.g. BENCH_PR2.json) must survive a clean.
+# Removes scratch outputs only.
 clean:
 	rm -rf .pytest_cache .benchmarks build *.egg-info src/*.egg-info
 	rm -f BENCH_sweep.json

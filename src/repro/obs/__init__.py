@@ -94,9 +94,11 @@ class Observability:
                 if ni is not None:
                     ni.tracer = tracer
 
-    def finalize(self, network, **context) -> dict | None:
+    def finalize(self, counters: dict, **context) -> dict | None:
         """Close out a run: flush files, return the metrics snapshot.
 
+        ``counters`` is the finished run's activity-counter dict (one
+        network's snapshot, or the aggregate over partition domains);
         ``context`` fields (allocator, rate, seed, ...) are stamped onto
         every exported line so aggregation across runs and worker
         processes needs no out-of-band bookkeeping.
@@ -112,7 +114,7 @@ class Observability:
             return None
         if self.probe is not None:
             self.probe.publish(registry)
-        for name, value in network.counters.snapshot().items():
+        for name, value in counters.items():
             registry.counter(name).inc(value)
         if self.config.metrics_path:
             registry.export_jsonl(self.config.metrics_path, **context)

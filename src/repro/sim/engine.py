@@ -1,75 +1,31 @@
-"""Simulation controller: warmup, measurement, drain.
+"""The monolithic object engine and the one-call entry points.
 
 :class:`Simulation` wires a network, a traffic injector, and a statistics
-collector together and runs the standard three-phase methodology:
+collector together; the warmup / measure / drain methodology it runs is
+:class:`repro.sim.runloop.RunLoop`, shared with every other engine.  What
+lives here is what is specific to stepping one object
+:class:`~repro.network.network.Network`: the constructor wiring, one
+cycle (``_step``), the quiescence test behind fast-forwarding
+(``_maybe_skip``) and the counters snapshot.
 
-1. **warmup** — traffic flows, nothing is recorded;
-2. **measure** — packets created in this window are tracked end to end, and
-   ejected traffic counts toward throughput;
-3. **drain** — injection continues (keeping the network under load) until
-   every measured packet is delivered or a drain budget expires.  Past
-   saturation some measured packets never finish inside any budget; the
-   result marks this and latency is reported over the delivered subset.
-
-Every phase advances through :meth:`Simulation._advance`, which
-fast-forwards quiescent stretches: when the network has no active router or
-NI and the injector reports no upcoming injection, the clock jumps straight
-to the next scheduled event (or the end of the phase) instead of spinning
-empty cycles.  With per-cycle Bernoulli injection at ``rate > 0`` the
-injector is active every cycle, so no cycle is ever skipped and the run is
-byte-identical to the plain loop; with ``rate == 0`` or
-``fast_injection=True`` the idle gaps are skipped and tallied in the
-``cycles_skipped`` counter.
+:func:`run_simulation` resolves an engine by name (see
+:mod:`repro.sim.engines`), builds it and runs it.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
 
 from repro.network.config import NetworkConfig
 from repro.network.network import Network
 from repro.obs import Observability, ObservabilityConfig
+from repro.sim.runloop import RunLoop, SimulationResult
 from repro.sim.stats import StatsCollector
 from repro.traffic.injector import TrafficInjector
 from repro.traffic.patterns import TrafficPattern, make_pattern
 
 
-@dataclass
-class SimulationResult:
-    """Summary of one simulation run."""
-
-    allocator: str
-    topology: str
-    injection_rate: float
-    packet_length: int
-    avg_latency: float
-    throughput_flits: float
-    throughput_packets_per_node: float
-    fairness: float
-    packets_created: int
-    packets_ejected: int
-    drained: bool
-    cycles: int
-    per_source_ejected: list[int] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-    #: Latency percentiles over measured packets (nan when none delivered).
-    latency_p50: float = math.nan
-    latency_p95: float = math.nan
-    latency_p99: float = math.nan
-    #: Metrics snapshot (flattened registry dict) when observability was
-    #: enabled for the run; ``None`` otherwise.
-    metrics: dict | None = None
-
-    @property
-    def throughput_flits_per_node(self) -> float:
-        """Accepted throughput in flits/cycle/node."""
-        n = len(self.per_source_ejected) or 1
-        return self.throughput_flits / n
-
-
-class Simulation:
+class Simulation(RunLoop):
     """One network + injector + stats run."""
 
     def __init__(
@@ -112,6 +68,10 @@ class Simulation:
         self.network.stats = self.stats
         self.injector.stats = self.stats
 
+    @property
+    def cycle(self) -> int:
+        return self.network.cycle
+
     def _step(self) -> None:
         self.injector.tick(self.network.cycle)
         self.network.step()
@@ -150,93 +110,8 @@ class Simulation:
         network.skip_to(target)
         return target - now
 
-    def _advance(self, cycles: int) -> None:
-        """Advance exactly ``cycles`` cycles, fast-forwarding idle spans."""
-        network = self.network
-        end = network.cycle + cycles
-        while network.cycle < end:
-            if self._maybe_skip(end - network.cycle):
-                continue
-            self.injector.tick(network.cycle)
-            network.step()
-
-    def run(
-        self,
-        warmup: int = 1000,
-        measure: int = 3000,
-        drain_limit: int | None = None,
-    ) -> SimulationResult:
-        """Run the three-phase simulation and return its summary."""
-        if warmup < 0 or measure <= 0:
-            raise ValueError("warmup must be >= 0 and measure > 0")
-        if drain_limit is None:
-            drain_limit = max(2000, 2 * measure)
-        timer = self._obs.timer if self._obs is not None else None
-        t0 = time.perf_counter() if timer is not None else 0.0
-        self._advance(warmup)
-        if timer is not None:
-            t1 = time.perf_counter()
-            timer.add("warmup", t1 - t0)
-            t0 = t1
-        start = self.network.cycle
-        self.stats.open_window(start, start + measure)
-        self._advance(measure)
-        if timer is not None:
-            t1 = time.perf_counter()
-            timer.add("measure", t1 - t0)
-            t0 = t1
-        drained_cycles = 0
-        while self.stats.outstanding and drained_cycles < drain_limit:
-            skipped = self._maybe_skip(drain_limit - drained_cycles)
-            if skipped:
-                drained_cycles += skipped
-                continue
-            self._step()
-            drained_cycles += 1
-        if timer is not None:
-            timer.add("drain", time.perf_counter() - t0)
-        stats = self.stats
-        counters = self.network.counters.snapshot()
-        if timer is not None:
-            # Spans only appear when profiling is on, so the default
-            # counters dict stays byte-identical to pre-observability runs.
-            counters.update(timer.counter_items())
-        tracer = self._obs.tracer if self._obs is not None else None
-        if tracer is not None and tracer.dropped:
-            # Loud truncation: a wrapped trace ring surfaces in the
-            # counters (and from there the [perf_counters] footer).  Only
-            # with tracing on, so the default counters stay unchanged.
-            counters["trace_dropped_events"] = tracer.dropped
-        metrics = None
-        if self._obs is not None:
-            metrics = self._obs.finalize(
-                self.network,
-                allocator=self.config.router.allocator,
-                virtual_inputs=self.config.router.effective_virtual_inputs,
-                topology=self.config.topology,
-                injection_rate=self.injector.rate,
-                seed=self._seed,
-            )
-        return SimulationResult(
-            allocator=self.config.router.allocator,
-            topology=self.config.topology,
-            injection_rate=self.injector.rate,
-            packet_length=self.injector.packet_length,
-            avg_latency=stats.avg_latency(),
-            throughput_flits=stats.throughput_flits_per_cycle(),
-            throughput_packets_per_node=stats.throughput_packets_per_node(),
-            fairness=stats.fairness_max_min_ratio(),
-            packets_created=stats.packets_created,
-            packets_ejected=stats.packets_ejected,
-            drained=stats.outstanding == 0,
-            cycles=self.network.cycle,
-            per_source_ejected=list(stats.per_source_ejected),
-            counters=counters,
-            latency_p50=stats.latency_percentile(50),
-            latency_p95=stats.latency_percentile(95),
-            latency_p99=stats.latency_percentile(99),
-            metrics=metrics,
-        )
+    def _final_counters(self) -> dict:
+        return self.network.counters.snapshot()
 
 
 def run_simulation(

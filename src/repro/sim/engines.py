@@ -8,9 +8,9 @@ executed:
 * ``dense`` — object stepping visiting every router and NI every cycle
   (the original reference loop; equivalence/benchmark baseline);
 * ``gated`` — object stepping visiting only active components (fastest
-  at low load, ~parity with dense at saturation; what the vectorized
-  engine delegates low-load runs to, and the fallback for everything the
-  kernel cannot express);
+  at low load, ~parity with dense at saturation; what the ``vectorized``
+  factory builds for low-load or metrics/trace requests, and the fallback
+  for everything the kernel cannot express);
 * ``vectorized`` — a struct-of-arrays numpy kernel batching VC and switch
   allocation across every router per cycle (:mod:`repro.sim.vec`); wins at
   and past saturation.  Only schemes whose grant semantics have an array
@@ -40,6 +40,7 @@ are byte-identical either way.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from typing import TYPE_CHECKING
@@ -66,6 +67,11 @@ DOMAIN_PARTITIONED = "domain_partitioned"
 
 #: Environment variable naming the default engine (set by ``--engine``).
 ENGINE_ENV = "REPRO_ENGINE"
+#: Environment knob: minimum expected injected flits/cycle for the SoA
+#: kernel to be worth it; below this a ``vectorized`` request is served by
+#: the gated engine.
+MIN_FLITS_ENV = "REPRO_VEC_MIN_FLITS"
+_DEFAULT_MIN_FLITS = 6.0
 
 
 def _object_engine(activity_gating: bool):
@@ -84,16 +90,65 @@ def _partitioned_engine(config: "NetworkConfig", **sim_kwargs):
     return PartitionedSimulation(config, **sim_kwargs)
 
 
-def _vectorized_engine(config: "NetworkConfig", **sim_kwargs):
+def _min_flits_threshold() -> float:
+    raw = os.environ.get(MIN_FLITS_ENV, "").strip()
+    if not raw:
+        return _DEFAULT_MIN_FLITS
     try:
-        from repro.sim.vec import VectorizedSimulation
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value) or value < 0:
+        raise ValueError(
+            f"{MIN_FLITS_ENV}={raw!r} is not a valid threshold; expected a "
+            f"non-negative number of flits/cycle (default "
+            f"{_DEFAULT_MIN_FLITS:g})"
+        )
+    return value
+
+
+def _vectorized_engine(
+    config: "NetworkConfig",
+    *,
+    injection_rate: float = 0.1,
+    packet_length: int | None = None,
+    obs=None,
+    **sim_kwargs,
+):
+    """The SoA-kernel engine, or the gated object engine where that is faster.
+
+    The one home of the delegation predicate: metrics probes and flit
+    tracers hook the object allocators/routers, and low-activity runs are
+    faster on the gated visit-only-active loop than on whole-network array
+    ops.  Results are byte-identical either way.
+    """
+    try:
+        from repro.sim.vec import VectorizedSimulation, require_vectorizable
     except ImportError as exc:
         raise ImportError(
             "the 'vectorized' engine needs numpy, which is not installed; "
             "install it (pip install 'numpy>=1.24') or pick one of the "
             "object engines ('dense', 'gated')"
         ) from exc
-    return VectorizedSimulation(config, **sim_kwargs)
+    from repro.obs import ObservabilityConfig
+    from repro.sim.engine import Simulation
+
+    require_vectorizable(config)
+    if obs is None:
+        obs = ObservabilityConfig.from_env()
+    plen = packet_length if packet_length is not None else config.packet_length
+    expected_flits = min(max(injection_rate, 0.0), 1.0) * config.num_terminals * plen
+    kernel_pays = not (
+        obs.metrics or obs.trace or expected_flits < _min_flits_threshold()
+    )
+    engine = VectorizedSimulation if kernel_pays else Simulation
+    return engine(
+        config,
+        injection_rate=injection_rate,
+        packet_length=packet_length,
+        obs=obs,
+        **sim_kwargs,
+    )
 
 
 engine_registry.register(
@@ -176,8 +231,8 @@ def resolve_engine(
       silently: no preference was stated, and results are byte-identical.
 
     ``counters`` are the finished run's, when attributing one: a
-    vectorized run that never entered the kernel (it delegated, see
-    :class:`~repro.sim.vec.engine.VectorizedSimulation`) counts under the
+    vectorized request that never entered the kernel (its factory built
+    the gated engine, see :func:`_vectorized_engine`) counts under the
     ``gated`` engine that stepped it, and the fallback warning — already
     given when the run was built — is not repeated.
     """

@@ -39,6 +39,7 @@ import time
 
 from repro.network.links import MSG_FLIT
 from repro.parallel.faults import inject_fault
+from repro.sim.runloop import assemble_result
 from repro.sim.stats import StatsCollector
 
 
@@ -296,10 +297,7 @@ def run_partitioned_workers(sim, warmup: int, measure: int, drain_limit: int):
         interchip_flits=interchip_flits,
         interchip_credits=interchip_credits,
     )
-    metrics = sim._finalize_obs(counters)
-    return sim.build_result(
-        merged, counters, cycles=cycle, drained=drained, metrics=metrics
-    )
+    return assemble_result(sim, merged, counters, cycles=cycle, drained=drained)
 
 
 __all__ = ["WindowStats", "run_partitioned_workers"]

@@ -249,20 +249,50 @@ class TestCapabilityGating:
 
 
 class TestDelegation:
+    """Kernel or gated is the ``vectorized`` factory's choice, not a wrapper."""
+
     def test_low_load_delegates_to_gated(self, monkeypatch):
+        from repro.sim.engine import Simulation
+        from repro.sim.engines import make_engine
+
         monkeypatch.delenv("REPRO_VEC_MIN_FLITS", raising=False)
         cfg = _config("input_first", "max_credit", 1)
-        sim = VectorizedSimulation(cfg, injection_rate=0.01, seed=1)
-        assert sim._delegate is not None
+        sim = make_engine("vectorized", cfg, injection_rate=0.01, seed=1)
+        assert type(sim) is Simulation and sim.network.gating
         result = sim.run(**WINDOWS)
+        assert "vec_kernel_cycles" not in result.counters
         dense = run_simulation(cfg, engine="dense", injection_rate=0.01,
                                seed=1, **WINDOWS)
         assert _comparable(result) == _comparable(dense)
 
-    def test_saturation_does_not_delegate(self):
+    def test_saturation_does_not_delegate(self, monkeypatch):
+        from repro.sim.engines import make_engine
+
+        monkeypatch.delenv("REPRO_VEC_MIN_FLITS", raising=False)
         cfg = _config("input_first", "max_credit", 1, num_terminals=64)
-        sim = VectorizedSimulation(cfg, injection_rate=1.0, seed=1)
-        assert sim._delegate is None
+        sim = make_engine("vectorized", cfg, injection_rate=1.0, seed=1)
+        assert type(sim) is VectorizedSimulation
+
+    @pytest.mark.parametrize("bad", ("six", "-1", "nan"))
+    def test_malformed_threshold_raises(self, monkeypatch, bad):
+        from repro.sim.engines import make_engine
+
+        monkeypatch.setenv("REPRO_VEC_MIN_FLITS", bad)
+        cfg = _config("input_first", "max_credit", 1)
+        with pytest.raises(ValueError, match="REPRO_VEC_MIN_FLITS") as exc:
+            make_engine("vectorized", cfg, injection_rate=1.0, seed=1)
+        assert repr(bad) in str(exc.value)
+
+    def test_class_always_runs_the_kernel(self):
+        """Built directly, the class never swaps engines: low load steps
+        the kernel, and observability it cannot feed is a named error."""
+        from repro.obs import ObservabilityConfig
+
+        cfg = _config("input_first", "max_credit", 1)
+        sim = VectorizedSimulation(cfg, injection_rate=0.01, seed=1)
+        assert sim.run(**WINDOWS).counters["vec_kernel_cycles"] > 0
+        with pytest.raises(ValueError, match="gated"):
+            VectorizedSimulation(cfg, obs=ObservabilityConfig(metrics=True))
 
 
 #: The twin tests' fabric: a 2x2 mesh (4 routers, radix 5) with 4 VCs.

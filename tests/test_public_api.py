@@ -47,6 +47,20 @@ def test_version_string():
     assert all(p.isdigit() for p in parts)
 
 
+def test_packaging_version_is_single_sourced():
+    """pyproject.toml reads ``repro.__version__`` and states no second one."""
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    data = tomllib.loads(pyproject.read_text())
+    assert "version" not in data["project"]
+    assert data["project"]["dynamic"] == ["version"]
+    assert data["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "repro.__version__"
+    }
+
+
 def test_headline_workflow_composes():
     """The README quickstart snippet works as written (tiny scale)."""
     from repro import paper_config, saturation_throughput
