@@ -56,7 +56,8 @@ partition-invariants:
 	$(PYTHON) scripts/check_partition.py --invariants
 
 # Vectorized-domain gates: 1x1 vec partition == monolithic vectorized
-# (f12, via the CLI), and 2x2 vectorized domains == gated domains on
+# == the same partition with no domain engine named (f12, via the CLI),
+# and 2x2 vectorized domains == gated domains on
 # every SoA-formulated allocator, serial and workers.
 partition-vectorized:
 	$(PYTHON) scripts/check_partition.py --vectorized

@@ -25,7 +25,9 @@ import sys
 
 def run_cli(src_dir: str, experiment: str) -> str:
     """One experiment's report, with volatile footer lines stripped."""
-    env = dict(os.environ, PYTHONPATH=src_dir, REPRO_NO_CACHE="1")
+    # The caller's REPRO_* exports must not change what the gate compares.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(PYTHONPATH=src_dir, REPRO_NO_CACHE="1")
     result = subprocess.run(
         [sys.executable, "-m", "repro.cli", experiment],
         capture_output=True,

@@ -22,6 +22,7 @@ import argparse
 import os
 import sys
 
+from repro import settings
 from repro.experiments import EXPERIMENTS, get_experiment
 from repro.registry import experiments as experiment_registry
 
@@ -131,16 +132,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--timeout",
         metavar="SECONDS",
-        type=float,
-        default=None,
         help="per-job time budget; a hung job's worker is killed and the "
         "job retried (equivalent to REPRO_TIMEOUT)",
     )
     parser.add_argument(
         "--max-retries",
         metavar="N",
-        type=int,
-        default=None,
         help="retries per job after a crash/timeout/exception before "
         "falling back (default 2; equivalent to REPRO_MAX_RETRIES)",
     )
@@ -160,8 +157,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace-sample",
         metavar="RATE",
-        type=float,
-        default=None,
         help="fraction of packets traced, in (0, 1] (default 1.0); "
         "sampling is deterministic per packet id",
     )
@@ -191,8 +186,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--serve",
         metavar="PORT",
-        type=int,
-        default=None,
         help="serve live run telemetry over HTTP on 127.0.0.1:PORT "
         "(/status JSON, /metrics Prometheus text, /events SSE); "
         "0 picks a free port (equivalent to REPRO_SERVE)",
@@ -209,73 +202,38 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.trace_sample is not None and not 0.0 < args.trace_sample <= 1.0:
-        parser.error(f"--trace-sample must be in (0, 1], got {args.trace_sample}")
-    # Environment, not argument plumbing: every Simulation (local or in a
-    # worker process) resolves ObservabilityConfig.from_env(), so setting
-    # the variables here observes every simulation an experiment fans out.
-    if args.trace is not None:
-        os.environ["REPRO_TRACE"] = args.trace
-    if args.trace_sample is not None:
-        os.environ["REPRO_TRACE_SAMPLE"] = repr(args.trace_sample)
-    if args.metrics_out:
-        os.environ["REPRO_METRICS_OUT"] = args.metrics_out
-    if args.profile is not None:
-        os.environ["REPRO_PROFILE"] = "1"
-        if args.profile:
-            os.environ["REPRO_PROFILE_DIR"] = args.profile
+    # Environment, not argument plumbing: every Simulation, runner and spec
+    # executor (local or in a worker process) reads its settings at the
+    # point of use, so a flag written here configures everything an
+    # experiment fans out.  Each flag goes through its row of the settings
+    # table, which validates the text exactly as a reader would.
+    from repro.registry import engines
 
-    # Run telemetry rides the environment too (worker processes and the
-    # spec executor resolve TelemetryConfig.from_env()).  Unlike the
-    # observability flags above it never bypasses the result cache:
-    # telemetry watches the sweep's execution, not simulation results.
-    if args.monitor:
-        os.environ["REPRO_MONITOR"] = "1"
-    if args.serve is not None:
-        if args.serve < 0 or args.serve > 65535:
-            parser.error(f"--serve expects a TCP port (0-65535), got {args.serve}")
-        os.environ["REPRO_SERVE"] = str(args.serve)
-    if args.trace_export is not None:
-        fmt, _, out = args.trace_export.partition(":")
-        if fmt != "chrome":
-            parser.error(
-                f"--trace-export supports 'chrome', got {args.trace_export!r}"
-            )
-        os.environ["REPRO_TRACE_EXPORT"] = fmt
-        if out:
-            os.environ["REPRO_TRACE_EXPORT_OUT"] = out
-
-    if args.resume:
-        os.environ["REPRO_RESUME"] = "1"
-    if args.timeout is not None:
-        if args.timeout <= 0:
-            parser.error(f"--timeout must be > 0, got {args.timeout}")
-        os.environ["REPRO_TIMEOUT"] = repr(args.timeout)
-    if args.max_retries is not None:
-        if args.max_retries < 0:
-            parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
-        os.environ["REPRO_MAX_RETRIES"] = str(args.max_retries)
-
-    if args.engine is not None:
-        from repro.registry import UnknownSchemeError, engines
-
+    trace_format, _, trace_out = (args.trace_export or "").partition(":")
+    composite = {
+        "REPRO_PROFILE": args.profile is not None,
+        "REPRO_PROFILE_DIR": args.profile,
+        "REPRO_TRACE_EXPORT": trace_format,
+        "REPRO_TRACE_EXPORT_OUT": trace_out,
+    }
+    for setting in settings.SETTINGS.values():
+        if setting.flag is None:
+            continue
+        name = setting.name
+        if name in composite:
+            value = composite[name]
+        else:
+            value = getattr(args, setting.flag[2:].replace("-", "_"))
+        if value is None or value is False or value == "":
+            continue
+        text = "1" if value is True else value
         try:
-            canonical = engines.canonical(args.engine)
-        except UnknownSchemeError as exc:
-            parser.error(str(exc))
-        # Environment, not argument plumbing, for the same reason as the
-        # observability flags: worker processes resolve REPRO_ENGINE too.
-        os.environ["REPRO_ENGINE"] = canonical
-
-    if args.jobs is not None:
-        from repro.parallel import resolve_jobs
-
-        try:
-            resolve_jobs(args.jobs)
-        except ValueError:
-            parser.error(
-                f"--jobs expects an integer or 'auto', got {args.jobs!r}"
+            settings.parse(
+                name, text, engines.canonical if name == "REPRO_ENGINE" else None
             )
+        except ValueError as exc:
+            parser.error(f"{setting.flag}: {exc}")
+        os.environ[name] = text
 
     key = args.experiment.strip().lower()
     if key == "list":
@@ -284,13 +242,12 @@ def main(argv: list[str] | None = None) -> int:
         print(_list_schemes())
         print()
         print(_list_engines())
+        print()
+        print("environment variables (a flag writes its variable):")
+        print(settings.table())
         return 0
     targets = sorted(EXPERIMENTS) if key == "all" else [key]
-    fast = not args.full
-    if args.no_cache:
-        # Environment, not argument passing: the cache check lives deep in
-        # the parallel layer and every experiment should see the opt-out.
-        os.environ["REPRO_NO_CACHE"] = "1"
+    fast = not settings.get("REPRO_FULL")
     descriptions = _descriptions()
     for target in targets:
         try:

@@ -17,8 +17,9 @@ Questions it answers:
   i.e. how much of the allocator's gain is protected by (or lost to) the
   boundary links' credit round-trip?
 
-Every point runs on the ``partitioned`` engine (domains stepped with the
-gated engine, credit-modelled boundary links), so the sweep also serves
+Every point runs on the ``partitioned`` engine (no domain engine named:
+SoA-kernel domains where numpy imports, gated ones otherwise;
+credit-modelled boundary links), so the sweep also serves
 as a large-scale soak of the domain decomposition: flit conservation and
 credit accounting hold by construction or the run does not complete.
 """

@@ -17,12 +17,12 @@ returns the results keyed by scenario slot plus merged execution counters.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro import settings
 from repro.experiments.spec import ExperimentSpec, ScenarioSpec
 from repro.obs import ObservabilityConfig, TelemetryConfig
 from repro.parallel import (
@@ -63,7 +63,7 @@ FULL = RunLengths(
 
 def full_fidelity_requested() -> bool:
     """True when the environment asks for paper-fidelity run lengths."""
-    return os.environ.get("REPRO_FULL", "").strip() not in ("", "0", "false")
+    return settings.get("REPRO_FULL")
 
 
 def resume_requested() -> bool:
@@ -73,7 +73,7 @@ def resume_requested() -> bool:
     complete in the spec's run journal are served from the cache instead
     of re-executed, and everything else runs as usual.
     """
-    return os.environ.get("REPRO_RESUME", "").strip() not in ("", "0", "false")
+    return settings.get("REPRO_RESUME")
 
 
 def run_lengths(fast: bool | None = None) -> RunLengths:
@@ -233,9 +233,7 @@ def execute_spec(
         )
 
         run_key = spec.content_key()
-        stream = EventStream(
-            telemetry.events_out or event_stream_path(run_key)
-        )
+        stream = EventStream(event_stream_path(run_key))
         monitor = RunMonitor(
             stream=stream,
             live=telemetry.monitor,

@@ -124,8 +124,8 @@ class ScenarioSpec:
     #: Credit-return latency override for cut links (``None`` mirrors
     #: ``link_latency``, matching on-chip symmetry).
     link_credit_latency: int | None = None
-    #: Engine stepping each domain ("gated"/"dense"/"vectorized";
-    #: "" = gated).
+    #: Engine stepping each domain ("gated"/"dense"/"vectorized"; "" names
+    #: none: vectorized where it can run and pays, else gated).
     domain_engine: str = ""
 
     def __post_init__(self) -> None:
@@ -213,7 +213,7 @@ class ScenarioSpec:
             link_latency=self.link_latency,
             link_width=self.link_width,
             link_credit_latency=self.link_credit_latency,
-            domain_engine=self.domain_engine or "gated",
+            domain_engine=self.domain_engine or None,
         )
 
     def sim_job(self, warmup: int, measure: int, seed: int) -> SimJob:

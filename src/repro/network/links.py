@@ -38,9 +38,9 @@ factory returns a :class:`LinkConfig`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
+from repro import settings
 from repro.registry import links as link_registry
 
 #: Event kinds, mirroring :mod:`repro.network.network` (kept in sync by
@@ -115,24 +115,6 @@ link_registry.register(
 )
 
 
-def _env_int(name: str, default: int) -> int:
-    """Integer environment knob with an error that names its source.
-
-    Matches the ``resolve_jobs``/``$REPRO_JOBS`` contract: garbage in a
-    ``REPRO_*`` variable must say which variable and what was expected,
-    not surface as a bare ``int()`` traceback.
-    """
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"invalid value {raw!r} (from ${name}): expected an integer"
-        ) from None
-
-
 @dataclass(frozen=True)
 class PartitionConfig:
     """How a simulation is decomposed into chiplet domains.
@@ -153,10 +135,12 @@ class PartitionConfig:
     #: Extra cycles on the returning credit; ``None`` mirrors
     #: ``link_latency`` (the symmetric-channel default).
     link_credit_latency: int | None = None
-    #: Engine stepping each domain: "gated" (default), "dense", or
-    #: "vectorized" (the SoA kernel via :class:`repro.sim.vec.domain.
-    #: VecDomain`; requires numpy and a vectorizable scheme).
-    domain_engine: str = "gated"
+    #: Engine stepping each domain: "gated", "dense", or "vectorized" (the
+    #: SoA kernel via :class:`repro.sim.vec.domain.VecDomain`; requires
+    #: numpy and a vectorizable scheme).  ``None`` names none: the run
+    #: takes the kernel where it can run and pays, gated domains elsewhere
+    #: (:func:`repro.sim.engines.resolve_domain_engine`).
+    domain_engine: str | None = None
     #: Worker processes for domain stepping: int or "auto" (1 = in-process).
     workers: int | str = 1
 
@@ -169,13 +153,14 @@ class PartitionConfig:
         if len(dims) != 2 or dims[0] < 1 or dims[1] < 1:
             raise ValueError(f"partition dims must be (px>=1, py>=1), got {self.dims}")
         object.__setattr__(self, "dims", dims)
-        engine = (self.domain_engine or "gated").strip().lower()
-        if engine not in ("gated", "dense", "vectorized"):
-            raise ValueError(
-                f"domain_engine must be 'gated', 'dense', or 'vectorized', "
-                f"got {self.domain_engine!r}"
-            )
-        object.__setattr__(self, "domain_engine", engine)
+        if self.domain_engine is not None:
+            engine = self.domain_engine.strip().lower()
+            if engine not in ("gated", "dense", "vectorized"):
+                raise ValueError(
+                    f"domain_engine must be 'gated', 'dense', or 'vectorized', "
+                    f"got {self.domain_engine!r}"
+                )
+            object.__setattr__(self, "domain_engine", engine)
 
     def link_config(self) -> LinkConfig:
         """The :class:`LinkConfig` for this partition's cut links."""
@@ -187,7 +172,11 @@ class PartitionConfig:
         )
 
     def spec(self) -> dict:
-        """Semantic content for cache keys (``workers`` excluded)."""
+        """Semantic content for cache keys (``workers`` excluded).
+
+        The domain engine is recorded as named (``None`` when unnamed), the
+        rule :meth:`SimJob.key` follows for ``engine``.
+        """
         return {
             "scheme": self.scheme,
             "dims": list(self.dims),
@@ -208,44 +197,16 @@ class PartitionConfig:
         worker count ride ``REPRO_PARTITION_LINK`` /
         ``REPRO_LINK_LATENCY`` / ``REPRO_LINK_WIDTH`` /
         ``REPRO_LINK_CREDIT_LATENCY`` / ``REPRO_DOMAIN_ENGINE`` /
-        ``REPRO_PARTITION_WORKERS``.  Malformed values raise a
-        ``ValueError`` naming the variable and the expected form.
+        ``REPRO_PARTITION_WORKERS`` (see :mod:`repro.settings`).
         """
-        dims_text = os.environ.get("REPRO_PARTITION", "").strip().lower()
-        dims = (2, 2)
-        if dims_text:
-            px, sep, py = dims_text.partition("x")
-            if not sep or not px.isdigit() or not py.isdigit():
-                raise ValueError(
-                    f"REPRO_PARTITION expects PXxPY (e.g. 2x2), got {dims_text!r}"
-                )
-            dims = (int(px), int(py))
-        workers_text = os.environ.get("REPRO_PARTITION_WORKERS", "").strip()
-        workers: int | str = 1
-        if workers_text:
-            if workers_text == "auto":
-                workers = "auto"
-            else:
-                try:
-                    workers = int(workers_text)
-                except ValueError:
-                    raise ValueError(
-                        f"invalid worker count {workers_text!r} (from "
-                        f"$REPRO_PARTITION_WORKERS): expected an integer or "
-                        f"'auto' (one worker per CPU core)"
-                    ) from None
-        credit_text = os.environ.get("REPRO_LINK_CREDIT_LATENCY", "").strip()
         return cls(
-            dims=dims,
-            link=os.environ.get("REPRO_PARTITION_LINK", "credit").strip() or "credit",
-            link_latency=_env_int("REPRO_LINK_LATENCY", 0),
-            link_width=_env_int("REPRO_LINK_WIDTH", 0),
-            link_credit_latency=(
-                _env_int("REPRO_LINK_CREDIT_LATENCY", 0) if credit_text else None
-            ),
-            domain_engine=os.environ.get("REPRO_DOMAIN_ENGINE", "gated").strip()
-            or "gated",
-            workers=workers,
+            dims=settings.get("REPRO_PARTITION"),
+            link=settings.get("REPRO_PARTITION_LINK", link_registry.canonical),
+            link_latency=settings.get("REPRO_LINK_LATENCY"),
+            link_width=settings.get("REPRO_LINK_WIDTH"),
+            link_credit_latency=settings.get("REPRO_LINK_CREDIT_LATENCY"),
+            domain_engine=settings.get("REPRO_DOMAIN_ENGINE"),
+            workers=settings.get("REPRO_PARTITION_WORKERS"),
         )
 
 

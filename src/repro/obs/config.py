@@ -4,7 +4,7 @@ The configuration is a frozen dataclass so it can ride inside frozen
 :class:`~repro.parallel.jobs.SimJob` specs and cross process boundaries.
 The **environment** is the canonical transport to worker processes: the
 CLI's ``--trace`` / ``--metrics-out`` / ``--profile`` flags set the
-``REPRO_*`` variables below, every :class:`~repro.sim.engine.Simulation`
+``REPRO_*`` variables, every :class:`~repro.sim.engine.Simulation`
 constructed without an explicit config resolves
 :meth:`ObservabilityConfig.from_env`, and ``ProcessPoolExecutor`` children
 inherit the parent's environment — so a flag given once observes every
@@ -13,53 +13,21 @@ simulation an experiment fans out, in every worker.
 Everything defaults to *off*: the default config is falsy and simulations
 run the exact pre-observability code paths (byte-identical results).
 
-Environment variables
----------------------
+Run *telemetry* (the streaming event bus of :mod:`repro.obs.events`) is
+resolved into :class:`TelemetryConfig` by the experiment layer.  Telemetry
+observes the **execution** layer (jobs, workers, wall clock), not
+simulation results, so — unlike the observability variables — it does NOT
+bypass the result cache and cannot change a single result byte.
 
-``REPRO_TRACE``
-    Path of the flit-trace JSONL file; setting it enables tracing.
-``REPRO_TRACE_SAMPLE``
-    Packet sampling rate in (0, 1] (default 1.0 = every packet).
-``REPRO_TRACE_BUFFER``
-    Ring-buffer capacity in events (default 100000).
-``REPRO_METRICS_OUT``
-    Path of the metrics JSONL file; setting it enables the metrics
-    registry and the allocator matching-efficiency probes.
-``REPRO_PROFILE``
-    Any non-empty value enables per-phase wall-time spans in the
-    simulation counters (surfaced through the ``[perf_counters]`` footer).
-``REPRO_PROFILE_DIR``
-    Directory for per-job ``cProfile`` dumps written by the parallel
-    runner's worker entry point; setting it implies ``REPRO_PROFILE``.
-
-Run *telemetry* (the streaming event bus of :mod:`repro.obs.events`) has
-its own knobs, resolved into :class:`TelemetryConfig` by the experiment
-layer.  Telemetry observes the **execution** layer (jobs, workers, wall
-clock), not simulation results, so — unlike the variables above — it does
-NOT bypass the result cache and cannot change a single result byte:
-
-``REPRO_MONITOR``
-    Any truthy value enables the run monitor with its live terminal
-    progress line (the CLI's ``--monitor``).
-``REPRO_SERVE``
-    TCP port for the telemetry HTTP server (``/status``, ``/metrics``,
-    ``/events``); ``0`` picks a free port (the CLI's ``--serve``).
-``REPRO_TRACE_EXPORT``
-    Trace-export format; currently only ``chrome`` (Chrome trace-event
-    JSON, Perfetto-loadable) — the CLI's ``--trace-export``.
-``REPRO_TRACE_EXPORT_OUT``
-    Output path for the exported trace (default ``<spec name>_trace.json``).
-``REPRO_EVENTS_OUT``
-    Override path for the run's JSONL event stream (default
-    ``<cache root>/events/<run key>.jsonl``).
+The variables themselves (names, defaults, accepted values) are rows of
+:data:`repro.settings.SETTINGS`; ``python -m repro list`` prints them.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-_TRUTHY_OFF = ("", "0", "false")
+from repro import settings
 
 
 @dataclass(frozen=True)
@@ -105,43 +73,19 @@ class ObservabilityConfig:
     @classmethod
     def from_env(cls) -> "ObservabilityConfig":
         """Resolve the environment-configured observability settings."""
-        env = os.environ
-        trace_path = env.get("REPRO_TRACE", "").strip() or None
-        metrics_path = env.get("REPRO_METRICS_OUT", "").strip() or None
-        profile_dir = env.get("REPRO_PROFILE_DIR", "").strip() or None
-        profile = (
-            env.get("REPRO_PROFILE", "").strip().lower() not in _TRUTHY_OFF
-            or profile_dir is not None
-        )
-        sample = float(env.get("REPRO_TRACE_SAMPLE", "") or 1.0)
-        buffer = int(env.get("REPRO_TRACE_BUFFER", "") or 100_000)
+        trace_path = settings.get("REPRO_TRACE")
+        metrics_path = settings.get("REPRO_METRICS_OUT")
+        profile_dir = settings.get("REPRO_PROFILE_DIR")
         return cls(
             metrics=metrics_path is not None,
             metrics_path=metrics_path,
             trace=trace_path is not None,
             trace_path=trace_path,
-            trace_sample=sample,
-            trace_buffer=buffer,
-            profile=profile,
+            trace_sample=settings.get("REPRO_TRACE_SAMPLE"),
+            trace_buffer=settings.get("REPRO_TRACE_BUFFER"),
+            profile=settings.get("REPRO_PROFILE") or profile_dir is not None,
             profile_dir=profile_dir,
         )
-
-    def to_env(self) -> dict[str, str]:
-        """The environment-variable form of this config (for the CLI)."""
-        env: dict[str, str] = {}
-        if self.trace and self.trace_path:
-            env["REPRO_TRACE"] = self.trace_path
-        if self.trace_sample != 1.0:
-            env["REPRO_TRACE_SAMPLE"] = repr(self.trace_sample)
-        if self.trace_buffer != 100_000:
-            env["REPRO_TRACE_BUFFER"] = str(self.trace_buffer)
-        if self.metrics and self.metrics_path:
-            env["REPRO_METRICS_OUT"] = self.metrics_path
-        if self.profile:
-            env["REPRO_PROFILE"] = "1"
-        if self.profile_dir:
-            env["REPRO_PROFILE_DIR"] = self.profile_dir
-        return env
 
 
 @dataclass(frozen=True)
@@ -164,8 +108,6 @@ class TelemetryConfig:
     trace_export: str | None = None
     #: Output path for the exported trace (``None`` = derive from spec name).
     trace_export_out: str | None = None
-    #: Override path for the JSONL event stream (``None`` = next to journal).
-    events_out: str | None = None
 
     def __post_init__(self) -> None:
         if self.trace_export is not None and self.trace_export != "chrome":
@@ -178,10 +120,7 @@ class TelemetryConfig:
     def enabled(self) -> bool:
         """True when any telemetry sink is requested."""
         return (
-            self.monitor
-            or self.serve is not None
-            or self.trace_export is not None
-            or self.events_out is not None
+            self.monitor or self.serve is not None or self.trace_export is not None
         )
 
     def __bool__(self) -> bool:
@@ -190,33 +129,12 @@ class TelemetryConfig:
     @classmethod
     def from_env(cls) -> "TelemetryConfig":
         """Resolve the environment-configured telemetry settings."""
-        env = os.environ
-        monitor = env.get("REPRO_MONITOR", "").strip().lower() not in _TRUTHY_OFF
-        serve_raw = env.get("REPRO_SERVE", "").strip()
-        serve = int(serve_raw) if serve_raw else None
-        trace_export = env.get("REPRO_TRACE_EXPORT", "").strip() or None
         return cls(
-            monitor=monitor,
-            serve=serve,
-            trace_export=trace_export,
-            trace_export_out=env.get("REPRO_TRACE_EXPORT_OUT", "").strip() or None,
-            events_out=env.get("REPRO_EVENTS_OUT", "").strip() or None,
+            monitor=settings.get("REPRO_MONITOR"),
+            serve=settings.get("REPRO_SERVE"),
+            trace_export=settings.get("REPRO_TRACE_EXPORT"),
+            trace_export_out=settings.get("REPRO_TRACE_EXPORT_OUT"),
         )
-
-    def to_env(self) -> dict[str, str]:
-        """The environment-variable form of this config (for the CLI)."""
-        env: dict[str, str] = {}
-        if self.monitor:
-            env["REPRO_MONITOR"] = "1"
-        if self.serve is not None:
-            env["REPRO_SERVE"] = str(self.serve)
-        if self.trace_export:
-            env["REPRO_TRACE_EXPORT"] = self.trace_export
-        if self.trace_export_out:
-            env["REPRO_TRACE_EXPORT_OUT"] = self.trace_export_out
-        if self.events_out:
-            env["REPRO_EVENTS_OUT"] = self.events_out
-        return env
 
 
 def env_observability_enabled() -> bool:
@@ -226,13 +144,9 @@ def env_observability_enabled() -> bool:
     result was produced without probes and carries no metrics), so the
     parallel layer consults this before constructing its default cache.
     """
-    env = os.environ
-    if env.get("REPRO_TRACE", "").strip():
-        return True
-    if env.get("REPRO_METRICS_OUT", "").strip():
-        return True
-    if env.get("REPRO_PROFILE", "").strip().lower() not in _TRUTHY_OFF:
-        return True
-    if env.get("REPRO_PROFILE_DIR", "").strip():
-        return True
-    return False
+    return bool(
+        settings.get("REPRO_TRACE")
+        or settings.get("REPRO_METRICS_OUT")
+        or settings.get("REPRO_PROFILE")
+        or settings.get("REPRO_PROFILE_DIR")
+    )

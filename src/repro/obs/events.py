@@ -36,7 +36,6 @@ kind                meaning
 ``job_retry``       the job was requeued after a failed attempt
 ``job_failed``      the job exhausted its retry budget
 ``job_interrupted`` collateral of a kill/crash elsewhere; requeued
-``chunk_bisect``    a failed multi-job chunk was split to isolate a job
 ``progress``        periodic in-flight sample (in_flight/completed/total)
 ``run_finish``      the sweep ended (carries the final stats dict)
 ==================  ======================================================
@@ -64,7 +63,6 @@ EVENT_KINDS = (
     "job_retry",
     "job_failed",
     "job_interrupted",
-    "chunk_bisect",
     "progress",
     "run_finish",
 )

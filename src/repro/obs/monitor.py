@@ -3,8 +3,8 @@
 The monitor sits between the producers and the sinks:
 
 * **producers** — the :class:`~repro.parallel.runner.ParallelRunner`
-  coordinator (cache hits, retries, cancellations, bisections, progress
-  ticks) calls :meth:`RunMonitor.emit` directly; worker processes put
+  coordinator (cache hits, retries, cancellations, progress ticks) calls
+  :meth:`RunMonitor.emit` directly; worker processes put
   ``job_start``/``job_finish`` payloads on a ``multiprocessing.Queue``
   (:meth:`worker_queue`) that a daemon drain thread folds into the same
   dispatch path;
@@ -100,7 +100,6 @@ class RunMonitor:
         self.cancellations = 0
         self.errors = 0
         self.interrupted = 0
-        self.bisections = 0
         self.engines: dict[str, int] = {}
         self.workers: set[int] = set()
         self._in_flight: dict[int, dict] = {}
@@ -260,8 +259,6 @@ class RunMonitor:
         elif kind == "job_interrupted":
             self.interrupted += 1
             self._in_flight.pop(data.get("index", -1), None)
-        elif kind == "chunk_bisect":
-            self.bisections += 1
         elif kind == "run_finish":
             self.finished_at = event.t
 
@@ -314,7 +311,6 @@ class RunMonitor:
                 "cancellations": self.cancellations,
                 "errors": self.errors,
                 "interrupted": self.interrupted,
-                "chunk_bisections": self.bisections,
                 "engines": dict(sorted(self.engines.items())),
                 "workers": sorted(self.workers),
                 "events_total": self.stream.appended,
@@ -340,7 +336,6 @@ class RunMonitor:
             reg.counter("repro_job_failures").inc(self.failures)
             reg.counter("repro_job_cancellations").inc(self.cancellations)
             reg.counter("repro_job_errors").inc(self.errors)
-            reg.counter("repro_chunk_bisections").inc(self.bisections)
             reg.counter("repro_events_total").inc(self.stream.appended)
             reg.counter("repro_events_dropped").inc(self.stream.dropped)
             reg.gauge("repro_jobs_in_flight").set(float(len(self._in_flight)))

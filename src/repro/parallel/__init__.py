@@ -7,11 +7,11 @@ turns that observation into wall-clock speed:
 * :class:`SimJob` — a hashable, picklable description of one simulation
   (config + pattern + rate + seed + windows) with a stable content hash;
 * :class:`ParallelRunner` — fans jobs out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with chunking,
+  :class:`~concurrent.futures.ProcessPoolExecutor` with
   ``as_completed`` collection, per-job timeouts with genuine cancellation
   (hung workers are killed, not awaited), per-job retry with capped
-  exponential backoff, crash-isolating chunk bisection, and an
-  ordered-results API, so output is identical to a serial run;
+  exponential backoff, and an ordered-results API, so output is identical
+  to a serial run;
 * :class:`ResultCache` — a content-addressed on-disk JSON cache
   (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) keyed by job hash + package
   version, making repeated sweeps and redundant saturation probes free;

@@ -17,6 +17,8 @@ import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro import settings
+
 if TYPE_CHECKING:  # imported lazily at runtime: repro.sim imports us back
     from repro.sim.engine import SimulationResult
 
@@ -77,15 +79,12 @@ def result_from_jsonable(data: dict) -> SimulationResult:
 
 def default_cache_dir() -> Path:
     """Resolve the cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``."""
-    override = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    if override:
-        return Path(override).expanduser()
-    return Path.home() / ".cache" / "repro"
+    return Path(settings.get("REPRO_CACHE_DIR")).expanduser()
 
 
 def cache_disabled() -> bool:
     """True when the environment opts out of result caching."""
-    return os.environ.get("REPRO_NO_CACHE", "").strip() not in ("", "0", "false")
+    return settings.get("REPRO_NO_CACHE")
 
 
 class ResultCache:

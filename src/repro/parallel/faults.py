@@ -26,7 +26,7 @@ attempt and hangs the third job's first attempt; ``REPRO_FAULTS="raise@0x*"``
 makes job 0 fail deterministically until its retries are exhausted.
 
 The hook is consulted by the worker entry point
-(:func:`repro.parallel.runner._run_batch`) before every attempt of every
+(:func:`repro.parallel.runner._run_job`) before every attempt of every
 job, inline and in workers alike; with ``REPRO_FAULTS`` unset the probe is
 a single dict lookup.  This module exists for the fault-tolerance test
 suite and the CI fault smoke job — production sweeps never set these
@@ -40,13 +40,13 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro import settings
+
 FAULTS_ENV = "REPRO_FAULTS"
 HANG_SECONDS_ENV = "REPRO_FAULT_HANG_SECONDS"
 
 #: Exit status of an ``exit`` fault — distinctive in worker post-mortems.
 FAULT_EXIT_CODE = 86
-
-_DEFAULT_HANG_SECONDS = 300.0
 
 
 class FaultInjected(RuntimeError):
@@ -104,8 +104,7 @@ def parse_faults(text: str) -> tuple[FaultSpec, ...]:
 
 def hang_seconds() -> float:
     """How long a ``hang`` fault sleeps (``$REPRO_FAULT_HANG_SECONDS``)."""
-    text = os.environ.get(HANG_SECONDS_ENV, "").strip()
-    return float(text) if text else _DEFAULT_HANG_SECONDS
+    return settings.get(HANG_SECONDS_ENV)
 
 
 def inject_fault(index: int, attempt: int) -> None:
@@ -113,10 +112,7 @@ def inject_fault(index: int, attempt: int) -> None:
 
     No-op (one environment lookup) unless ``$REPRO_FAULTS`` is set.
     """
-    text = os.environ.get(FAULTS_ENV, "").strip()
-    if not text:
-        return
-    for spec in parse_faults(text):
+    for spec in settings.get(FAULTS_ENV, parse_faults) or ():
         if not spec.matches(index, attempt):
             continue
         if spec.kind == "raise":

@@ -9,12 +9,12 @@ that contract under duress:
 * results are collected ``as_completed`` and written back to the cache
   (and the run journal) the moment they land, so a killed sweep keeps
   every completed job;
-* a chunk that exceeds its ``timeout`` budget is *genuinely cancelled*:
+* a job that exceeds its ``timeout`` budget is *genuinely cancelled*:
   the pool's workers are SIGKILLed, so pool shutdown never blocks on a
   hung worker and the timed-out job is never executed twice by a zombie;
 * failed jobs are retried per *job* (``max_retries``, capped exponential
-  backoff); a failed multi-job chunk is first bisected to fence off the
-  one poisoned job instead of failing its chunk-mates;
+  backoff), one job per worker submission, so a crash never takes a
+  healthy job's retry budget with it;
 * whatever still fails after the retry budget is executed inline in the
   parent process (with a warning), so a broken multiprocessing stack
   degrades to the serial behaviour instead of a crash — except jobs that
@@ -38,6 +38,7 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
+from repro import settings
 from repro.obs import (
     emit_worker_event,
     env_observability_enabled,
@@ -69,13 +70,11 @@ _POLL_TICK = 0.05
 #: enough for sub-second progress events.
 _MONITOR_TICK = 0.25
 
-_TRUTHY_OFF = ("", "0", "false")
-
 #: The telemetry queue of the current process, when a monitor is active.
 #: Set in worker processes by the pool initializer (the queue rides the
 #: process-creation channel) and in the coordinator by ``_execute`` so
 #: the serial and inline-fallback paths emit through the same channel.
-#: ``None`` (the default) keeps ``_run_batch`` on its pre-telemetry path.
+#: ``None`` (the default) keeps ``_run_job`` on its pre-telemetry path.
 _WORKER_EVENT_QUEUE = None
 
 
@@ -99,24 +98,8 @@ def resolve_jobs(jobs: int | str | None = None) -> int:
     ``None`` defers to ``$REPRO_JOBS`` (default 1 — serial); ``"auto"`` or
     any value < 1 means one worker per CPU core.
     """
-    source = None
-    if jobs is None:
-        source = "$REPRO_JOBS"
-        jobs = os.environ.get("REPRO_JOBS", "1")
-    if isinstance(jobs, str):
-        text = jobs.strip().lower()
-        if text in ("", "auto"):
-            return os.cpu_count() or 1
-        try:
-            jobs = int(text)
-        except ValueError:
-            where = f" (from {source})" if source else ""
-            raise ValueError(
-                f"invalid worker count {text!r}{where}: expected an "
-                "integer, 'auto' (one worker per CPU core), or a value "
-                "< 1 (also one worker per core)"
-            ) from None
-    if jobs < 1:
+    jobs = settings.resolve("REPRO_JOBS", jobs)
+    if jobs == "auto" or jobs < 1:
         return os.cpu_count() or 1
     return jobs
 
@@ -126,56 +109,17 @@ def resolve_timeout(timeout: float | None = None) -> float | None:
 
     ``None`` with the variable unset means no budget.
     """
-    if timeout is None:
-        text = os.environ.get("REPRO_TIMEOUT", "").strip()
-        if not text:
-            return None
-        try:
-            timeout = float(text)
-        except ValueError:
-            raise ValueError(
-                f"invalid $REPRO_TIMEOUT value {text!r}: expected a "
-                "per-job budget in seconds"
-            ) from None
-    if timeout <= 0:
-        raise ValueError(f"timeout must be > 0, got {timeout}")
-    return timeout
+    return settings.resolve("REPRO_TIMEOUT", timeout)
 
 
 def resolve_max_retries(max_retries: int | None = None) -> int:
     """Resolve the per-job retry budget (``$REPRO_MAX_RETRIES``, default 2)."""
-    if max_retries is None:
-        text = os.environ.get("REPRO_MAX_RETRIES", "").strip()
-        if not text:
-            return 2
-        try:
-            max_retries = int(text)
-        except ValueError:
-            raise ValueError(
-                f"invalid $REPRO_MAX_RETRIES value {text!r}: expected a "
-                "non-negative integer"
-            ) from None
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    return max_retries
+    return settings.resolve("REPRO_MAX_RETRIES", max_retries)
 
 
 def resolve_backoff(backoff: float | None = None) -> float:
     """Resolve the base retry backoff (``$REPRO_RETRY_BACKOFF``, default 0.05s)."""
-    if backoff is None:
-        text = os.environ.get("REPRO_RETRY_BACKOFF", "").strip()
-        if not text:
-            return 0.05
-        try:
-            backoff = float(text)
-        except ValueError:
-            raise ValueError(
-                f"invalid $REPRO_RETRY_BACKOFF value {text!r}: expected "
-                "seconds as a number"
-            ) from None
-    if backoff < 0:
-        raise ValueError(f"backoff must be >= 0, got {backoff}")
-    return backoff
+    return settings.resolve("REPRO_RETRY_BACKOFF", backoff)
 
 
 @dataclass
@@ -191,8 +135,6 @@ class ExecutionStats:
     cancellations: int = 0
     #: Jobs skipped on ``--resume`` (journaled complete + served by cache).
     resumed_jobs: int = 0
-    #: Failed multi-job chunks split to isolate a poisoned job.
-    chunk_bisections: int = 0
     #: Router idle-to-busy transitions across the freshly executed runs
     #: (activity-gated stepping; cached results contribute nothing).
     router_wakeups: int = 0
@@ -226,7 +168,6 @@ class ExecutionStats:
         self.wall_seconds += other.wall_seconds
         self.cancellations += other.cancellations
         self.resumed_jobs += other.resumed_jobs
-        self.chunk_bisections += other.chunk_bisections
         self.router_wakeups += other.router_wakeups
         self.cycles_skipped += other.cycles_skipped
         self.vec_kernel_cycles += other.vec_kernel_cycles
@@ -264,7 +205,6 @@ class ExecutionStats:
             "wall_seconds": round(self.wall_seconds, 3),
             "cancellations": self.cancellations,
             "resumed_jobs": self.resumed_jobs,
-            "chunk_bisections": self.chunk_bisections,
             "router_wakeups": self.router_wakeups,
             "cycles_skipped": self.cycles_skipped,
             "vec_kernel_cycles": self.vec_kernel_cycles,
@@ -292,7 +232,6 @@ class ExecutionStats:
         registry.counter("runner_inline_fallbacks").inc(self.inline_fallbacks)
         registry.counter("runner_cancellations").inc(self.cancellations)
         registry.counter("runner_resumed_jobs").inc(self.resumed_jobs)
-        registry.counter("runner_chunk_bisections").inc(self.chunk_bisections)
         registry.gauge("runner_wall_seconds").set(round(self.wall_seconds, 3))
         registry.gauge("runner_max_job_seconds").set(round(self.max_job_seconds, 3))
         registry.counter("runner_vec_kernel_cycles").inc(self.vec_kernel_cycles)
@@ -315,8 +254,6 @@ class ExecutionStats:
             line += f" | cancellations: {self.cancellations}"
         if self.resumed_jobs:
             line += f" | resumed: {self.resumed_jobs}"
-        if self.chunk_bisections:
-            line += f" | chunk bisections: {self.chunk_bisections}"
         if self.engine_jobs:
             mix = " ".join(
                 f"{engine}={count}"
@@ -356,7 +293,7 @@ def _run_sim_job(job: SimJob) -> SimulationResult:
     dumps ``job-<key-prefix>.pstats`` into that directory — one profile
     per simulation, valid in workers and inline alike.
     """
-    profile_dir = os.environ.get("REPRO_PROFILE_DIR", "").strip()
+    profile_dir = settings.get("REPRO_PROFILE_DIR")
     if profile_dir:
         return profiled_call(job.run, profile_dir, f"job-{job.key()[:16]}")
     return job.run()
@@ -387,37 +324,33 @@ def _job_event_data(item, value) -> dict:
     return data
 
 
-def _run_batch(fn: Callable, batch: list) -> list:
-    """Execute one chunk of ``(job_index, attempt, item)`` triples.
+def _run_job(fn: Callable, index: int, attempt: int, item) -> tuple:
+    """Execute one attempt of one job; the worker entry point.
 
-    Returns ``(value, wall_seconds)`` pairs aligned with ``batch`` so the
-    parent can track the slowest individual job without a second round
-    trip.  With ``$REPRO_FAULTS`` set, the deterministic fault hooks fire
-    before each item (see :mod:`repro.parallel.faults`).  With a run
-    monitor active, each job brackets itself in ``job_start``/
-    ``job_finish`` events on the telemetry queue (best-effort puts that
-    can never fail the job).
+    Returns ``(value, wall_seconds)`` so the parent can track the slowest
+    individual job without a second round trip.  With ``$REPRO_FAULTS``
+    set, the deterministic fault hooks fire first (see
+    :mod:`repro.parallel.faults`).  With a run monitor active, the job
+    brackets itself in ``job_start``/``job_finish`` events on the
+    telemetry queue (best-effort puts that can never fail the job).
     """
     queue = _WORKER_EVENT_QUEUE
-    out = []
-    for index, attempt, item in batch:
-        inject_fault(index, attempt)
-        if queue is not None:
-            emit_worker_event(queue, "job_start", index=index, attempt=attempt)
-        start = time.perf_counter()
-        value = fn(item)
-        seconds = time.perf_counter() - start
-        out.append((value, seconds))
-        if queue is not None:
-            emit_worker_event(
-                queue,
-                "job_finish",
-                index=index,
-                attempt=attempt,
-                seconds=round(seconds, 6),
-                **_job_event_data(item, value),
-            )
-    return out
+    inject_fault(index, attempt)
+    if queue is not None:
+        emit_worker_event(queue, "job_start", index=index, attempt=attempt)
+    start = time.perf_counter()
+    value = fn(item)
+    seconds = time.perf_counter() - start
+    if queue is not None:
+        emit_worker_event(
+            queue,
+            "job_finish",
+            index=index,
+            attempt=attempt,
+            seconds=round(seconds, 6),
+            **_job_event_data(item, value),
+        )
+    return value, seconds
 
 
 def _kill_workers(pool: ProcessPoolExecutor) -> int:
@@ -461,14 +394,8 @@ class ParallelRunner:
         for arbitrary callables and always executes.
     timeout:
         Optional per-job seconds budget (default ``$REPRO_TIMEOUT``).  A
-        chunk that exceeds ``timeout * len(chunk)`` after starting is
-        treated as hung: its pool's workers are killed and the chunk's
-        jobs are retried in a fresh pool.
-    chunksize:
-        Jobs per worker submission.  1 (the default) gives the best
-        load balance for second-scale simulations; raise it for very
-        short jobs to amortise pickling overhead.  A failed chunk is
-        bisected until the poisoned job is isolated.
+        job that exceeds it after starting is treated as hung: its pool's
+        workers are killed and the job is retried in a fresh pool.
     max_retries:
         Per-job retry budget after a crash/timeout/exception (default
         ``$REPRO_MAX_RETRIES`` or 2).  Jobs that exhaust it fall back to
@@ -496,7 +423,6 @@ class ParallelRunner:
         *,
         cache: ResultCache | str | None = "default",
         timeout: float | None = None,
-        chunksize: int = 1,
         max_retries: int | None = None,
         backoff: float | None = None,
         journal: RunJournal | None = None,
@@ -509,10 +435,7 @@ class ParallelRunner:
             # produced without probes/tracing and carries no metrics.
             cache = None if env_observability_enabled() else ResultCache.default()
         self.cache = cache
-        if chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.timeout = resolve_timeout(timeout)
-        self.chunksize = chunksize
         self.max_retries = resolve_max_retries(max_retries)
         self.backoff = resolve_backoff(backoff)
         self.journal = journal
@@ -646,18 +569,12 @@ class ParallelRunner:
         try:
             if workers <= 1:
                 for job in job_states:
-                    ((value, seconds),) = _run_batch(
-                        fn, [(job.index, 0, job.item)]
-                    )
-                    record(job, value, seconds)
+                    record(job, *_run_job(fn, job.index, 0, job.item))
                     if monitor is not None:
                         monitor.tick()
                 return results
 
-            size = self.chunksize
-            pending: deque[list[_Job]] = deque(
-                job_states[i : i + size] for i in range(0, len(job_states), size)
-            )
+            pending: deque[_Job] = deque(job_states)
             exhausted: list[_Job] = []
             pool_failures = 0
             while pending:
@@ -669,46 +586,28 @@ class ParallelRunner:
                     # multiprocessing stack): nothing ran, retry whole.
                     pool_failures += 1
                     if pool_failures > max(1, self.max_retries):
-                        for chunk in generation:
-                            exhausted.extend(
-                                j for j in chunk if not done[j.index]
-                            )
+                        exhausted.extend(
+                            j for j in generation if not done[j.index]
+                        )
                     else:
                         pending.extend(generation)
                     continue
                 backoff_delay = 0.0
-                for chunk, kind, error in failures:
+                for job, kind, error in failures:
                     if kind == "interrupted":
-                        # Collateral of killing another chunk's hung worker
-                        # (or of a pool break before the chunk started): it
+                        # Collateral of killing another job's hung worker
+                        # (or of a pool break before the job started): it
                         # never ran to completion, so re-running it is a
-                        # continuation, not a duplicate — and not the chunk's
+                        # continuation, not a duplicate — and not the job's
                         # own failure, so its retry budget is untouched.
-                        if monitor is not None:
-                            for j in chunk:
-                                if not done[j.index]:
-                                    monitor.emit(
-                                        "job_interrupted",
-                                        index=j.index,
-                                        attempt=j.attempt,
-                                    )
-                        pending.append(chunk)
-                        continue
-                    if len(chunk) > 1:
-                        # Crash isolation: bisect to fence off the poisoned
-                        # job instead of failing (or inlining) its chunk-mates.
-                        mid = len(chunk) // 2
-                        pending.append(chunk[:mid])
-                        pending.append(chunk[mid:])
-                        self.stats.chunk_bisections += 1
-                        if monitor is not None:
+                        if monitor is not None and not done[job.index]:
                             monitor.emit(
-                                "chunk_bisect",
-                                jobs=len(chunk),
-                                indices=[j.index for j in chunk],
+                                "job_interrupted",
+                                index=job.index,
+                                attempt=job.attempt,
                             )
+                        pending.append(job)
                         continue
-                    job = chunk[0]
                     job.attempt += 1
                     job.timed_out = kind == "timeout"
                     job.error = error
@@ -746,7 +645,7 @@ class ParallelRunner:
                             monitor.emit(
                                 "job_retry", index=job.index, attempt=job.attempt
                             )
-                        pending.append(chunk)
+                        pending.append(job)
                         backoff_delay = max(
                             backoff_delay, self._backoff_delay(job.attempt)
                         )
@@ -767,15 +666,15 @@ class ParallelRunner:
     def _run_generation(
         self,
         fn: Callable,
-        chunks: list[list[_Job]],
+        jobs: list[_Job],
         workers: int,
         record: Callable,
-    ) -> list[tuple[list[_Job], str, BaseException | None]] | None:
-        """Run one pool generation over ``chunks``.
+    ) -> list[tuple[_Job, str, BaseException | None]] | None:
+        """Run one pool generation over ``jobs``, one submission per job.
 
-        Completed chunks stream through ``record`` as they finish
+        Completed jobs stream through ``record`` as they finish
         (``as_completed`` collection, not submission order).  Returns
-        ``(chunk, kind, error)`` for every chunk that did not complete:
+        ``(job, kind, error)`` for every job that did not complete:
         ``"timeout"`` (blew its budget; its workers were killed),
         ``"crash"`` (worker died), ``"error"`` (the job raised), or
         ``"interrupted"`` (collateral of a kill/crash elsewhere).
@@ -791,29 +690,29 @@ class ParallelRunner:
             }
         try:
             pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks)), **init_kwargs
+                max_workers=min(workers, len(jobs)), **init_kwargs
             )
         except Exception:
             return None
-        failures: list[tuple[list[_Job], str, BaseException | None]] = []
+        failures: list[tuple[_Job, str, BaseException | None]] = []
         futures: dict = {}
         killed = False
         try:
-            for chunk in chunks:
-                payload = [(j.index, j.attempt, j.item) for j in chunk]
+            for job in jobs:
+                payload = (job.index, job.attempt, job.item)
                 try:
-                    futures[pool.submit(_run_batch, fn, payload)] = chunk
+                    futures[pool.submit(_run_job, fn, *payload)] = job
                 except Exception:
                     # The pool broke while submitting (a worker of an
-                    # earlier chunk died instantly).
-                    failures.append((chunk, "crash", None))
+                    # earlier job died instantly).
+                    failures.append((job, "crash", None))
             waiting = set(futures)
             deadlines: dict = {}
             while waiting:
                 tick = None
                 if self.monitor is not None:
                     # Without a timeout the wait would otherwise block
-                    # until a chunk lands; a finite tick keeps progress
+                    # until a job lands; a finite tick keeps progress
                     # events flowing while jobs are long-running.
                     tick = _MONITOR_TICK
                 if self.timeout is not None:
@@ -821,10 +720,8 @@ class ParallelRunner:
                     for future in waiting:
                         if future not in deadlines and future.running():
                             # The budget clock starts when a worker picks
-                            # the chunk up, not while it sits in the queue.
-                            deadlines[future] = (
-                                now + self.timeout * len(futures[future])
-                            )
+                            # the job up, not while it sits in the queue.
+                            deadlines[future] = now + self.timeout
                     live = [deadlines[f] for f in waiting if f in deadlines]
                     tick = _POLL_TICK
                     if live:
@@ -845,7 +742,7 @@ class ParallelRunner:
                 if not hung:
                     continue
                 # Genuine cancellation: SIGKILL the pool's workers so the
-                # hung chunk stops consuming a core, cannot complete later
+                # hung job stops consuming a core, cannot complete later
                 # as a zombie (duplicate execution), and cannot block pool
                 # shutdown.  Survivors are classified below.
                 killed = True
@@ -873,19 +770,18 @@ class ParallelRunner:
         return failures
 
     @staticmethod
-    def _harvest(future, chunk: list[_Job], record, failures) -> None:
-        """File one finished future as results or a classified failure."""
+    def _harvest(future, job: _Job, record, failures) -> None:
+        """File one finished future as a result or a classified failure."""
         try:
-            batch = future.result(timeout=0)
+            value, seconds = future.result(timeout=0)
         except CancelledError:
-            failures.append((chunk, "interrupted", None))
+            failures.append((job, "interrupted", None))
         except BrokenExecutor:
-            failures.append((chunk, "crash", None))
+            failures.append((job, "crash", None))
         except Exception as error:
-            failures.append((chunk, "error", error))
+            failures.append((job, "error", error))
         else:
-            for job, (value, seconds) in zip(chunk, batch):
-                record(job, value, seconds)
+            record(job, value, seconds)
 
     def _finish_inline(self, fn: Callable, exhausted: list[_Job], record) -> None:
         """Last resort for jobs that spent their retry budget.
@@ -912,10 +808,7 @@ class ParallelRunner:
             stacklevel=4,
         )
         for job in exhausted:
-            ((value, seconds),) = _run_batch(
-                fn, [(job.index, job.attempt, job.item)]
-            )
-            record(job, value, seconds)
+            record(job, *_run_job(fn, job.index, job.attempt, job.item))
 
 
 def run_sim_jobs(

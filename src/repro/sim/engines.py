@@ -40,11 +40,10 @@ are byte-identical either way.
 
 from __future__ import annotations
 
-import math
-import os
 import warnings
 from typing import TYPE_CHECKING
 
+from repro import settings
 from repro.registry import engines as engine_registry
 
 if TYPE_CHECKING:
@@ -65,13 +64,6 @@ CAPABILITY_GATED = "capability_gated"
 #: links instead of one monolithic network.
 DOMAIN_PARTITIONED = "domain_partitioned"
 
-#: Environment variable naming the default engine (set by ``--engine``).
-ENGINE_ENV = "REPRO_ENGINE"
-#: Environment knob: minimum expected injected flits/cycle for the SoA
-#: kernel to be worth it; below this a ``vectorized`` request is served by
-#: the gated engine.
-MIN_FLITS_ENV = "REPRO_VEC_MIN_FLITS"
-_DEFAULT_MIN_FLITS = 6.0
 
 
 def _object_engine(activity_gating: bool):
@@ -90,21 +82,23 @@ def _partitioned_engine(config: "NetworkConfig", **sim_kwargs):
     return PartitionedSimulation(config, **sim_kwargs)
 
 
-def _min_flits_threshold() -> float:
-    raw = os.environ.get(MIN_FLITS_ENV, "").strip()
-    if not raw:
-        return _DEFAULT_MIN_FLITS
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if math.isnan(value) or value < 0:
-        raise ValueError(
-            f"{MIN_FLITS_ENV}={raw!r} is not a valid threshold; expected a "
-            f"non-negative number of flits/cycle (default "
-            f"{_DEFAULT_MIN_FLITS:g})"
-        )
-    return value
+def _kernel_pays(
+    config: "NetworkConfig", obs, injection_rate: float, packet_length: int | None
+) -> bool:
+    """True when the SoA kernel is the faster way to step this request.
+
+    The one home of the delegation predicate, shared by the ``vectorized``
+    factory and :func:`resolve_domain_engine`: metrics probes and flit
+    tracers hook the object allocators/routers, and low-activity runs
+    (expected injected flits/cycle under ``REPRO_VEC_MIN_FLITS``) are
+    faster on the gated visit-only-active loop than on whole-network
+    array ops.  Results are byte-identical either way.
+    """
+    if obs.metrics or obs.trace:
+        return False
+    plen = packet_length if packet_length is not None else config.packet_length
+    expected_flits = min(max(injection_rate, 0.0), 1.0) * config.num_terminals * plen
+    return expected_flits >= settings.get("REPRO_VEC_MIN_FLITS")
 
 
 def _vectorized_engine(
@@ -115,13 +109,8 @@ def _vectorized_engine(
     obs=None,
     **sim_kwargs,
 ):
-    """The SoA-kernel engine, or the gated object engine where that is faster.
-
-    The one home of the delegation predicate: metrics probes and flit
-    tracers hook the object allocators/routers, and low-activity runs are
-    faster on the gated visit-only-active loop than on whole-network array
-    ops.  Results are byte-identical either way.
-    """
+    """The SoA-kernel engine, or the gated object engine where that is
+    faster (:func:`_kernel_pays`)."""
     try:
         from repro.sim.vec import VectorizedSimulation, require_vectorizable
     except ImportError as exc:
@@ -136,12 +125,8 @@ def _vectorized_engine(
     require_vectorizable(config)
     if obs is None:
         obs = ObservabilityConfig.from_env()
-    plen = packet_length if packet_length is not None else config.packet_length
-    expected_flits = min(max(injection_rate, 0.0), 1.0) * config.num_terminals * plen
-    kernel_pays = not (
-        obs.metrics or obs.trace or expected_flits < _min_flits_threshold()
-    )
-    engine = VectorizedSimulation if kernel_pays else Simulation
+    pays = _kernel_pays(config, obs, injection_rate, packet_length)
+    engine = VectorizedSimulation if pays else Simulation
     return engine(
         config,
         injection_rate=injection_rate,
@@ -192,8 +177,7 @@ engine_registry.register(
 
 def default_engine() -> str | None:
     """The environment-selected default engine, or ``None`` when unset."""
-    name = os.environ.get(ENGINE_ENV, "").strip()
-    return engine_registry.canonical(name) if name else None
+    return settings.get("REPRO_ENGINE", engine_registry.canonical)
 
 
 def _numpy_imports() -> bool:
@@ -218,7 +202,8 @@ def resolve_engine(
     runner's ``engines:`` footer and the telemetry ``engine`` field:
 
     * a ``partition`` config means ``partitioned`` (any other explicit
-      ``engine`` conflicts and raises ``ValueError``);
+      ``engine`` conflicts and raises ``ValueError``); which engine steps
+      its domains is :func:`resolve_domain_engine`'s answer;
     * an explicit ``engine`` is taken as named — strict, so an
       unsupported configuration fails when the engine is built;
     * otherwise ``REPRO_ENGINE`` is a *lenient* preference: a
@@ -234,7 +219,8 @@ def resolve_engine(
     vectorized request that never entered the kernel (its factory built
     the gated engine, see :func:`_vectorized_engine`) counts under the
     ``gated`` engine that stepped it, and the fallback warning — already
-    given when the run was built — is not repeated.
+    given when the run was built — is not repeated.  A partitioned run is
+    attributed as ``partitioned[<engine that stepped its domains>]``.
     """
     if partition is not None:
         if engine is not None and engine_registry.canonical(engine) != "partitioned":
@@ -242,8 +228,8 @@ def resolve_engine(
                 f"partition config conflicts with explicit engine {engine!r}; "
                 f"drop one (a partitioned run must use the 'partitioned' engine)"
             )
-        return "partitioned"
-    if engine is not None:
+        name = "partitioned"
+    elif engine is not None:
         name = engine_registry.canonical(engine)
     else:
         name = default_engine()
@@ -269,13 +255,49 @@ def resolve_engine(
                         RuntimeWarning,
                         stacklevel=3,
                     )
-    if (
-        counters is not None
-        and name == "vectorized"
-        and "vec_kernel_cycles" not in counters
-    ):
-        name = "gated"
+    if counters is not None:
+        kernel_ran = "vec_kernel_cycles" in counters
+        if name == "vectorized" and not kernel_ran:
+            name = "gated"
+        elif name == "partitioned":
+            if partition is not None:
+                domains = partition.domain_engine
+            else:
+                domains = settings.get("REPRO_DOMAIN_ENGINE")
+            if domains is None:
+                domains = "vectorized" if kernel_ran else "gated"
+            name = f"partitioned[{domains}]"
     return name
+
+
+def resolve_domain_engine(
+    config: "NetworkConfig",
+    named: str | None,
+    *,
+    obs,
+    injection_rate: float,
+    packet_length: int | None,
+) -> str:
+    """The engine that steps a partitioned run's domains.
+
+    The monolithic rule of :func:`resolve_engine`, carried across the
+    chiplet boundary: a named engine (``PartitionConfig.domain_engine``,
+    ``REPRO_DOMAIN_ENGINE``) is taken as named — strict; with none named
+    the domains step on the SoA kernel when it can run the configuration
+    here and pays (:func:`_kernel_pays`), on ``gated`` otherwise —
+    silently, results being byte-identical.
+    """
+    if named is not None:
+        return named
+    from repro.sim.vec.support import vectorization_unsupported_reason
+
+    if (
+        vectorization_unsupported_reason(config) is None
+        and _numpy_imports()
+        and _kernel_pays(config, obs, injection_rate, packet_length)
+    ):
+        return "vectorized"
+    return "gated"
 
 
 def make_engine(name: str, config: "NetworkConfig", **sim_kwargs):

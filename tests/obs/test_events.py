@@ -30,7 +30,7 @@ class TestRunEvent:
         # The lifecycle kinds the runner emits must all be registered.
         for kind in ("job_start", "job_finish", "job_cancel", "job_error",
                      "job_retry", "job_failed", "job_interrupted",
-                     "chunk_bisect", "cache_hit", "progress"):
+                     "cache_hit", "progress"):
             assert kind in EVENT_KINDS
 
 

@@ -55,13 +55,11 @@ class TestAggregation:
         assert monitor._in_flight == {}
         assert monitor.cancellations == 1
 
-    def test_interrupted_and_bisect(self):
+    def test_interrupted_leaves_flight(self):
         monitor = RunMonitor()
         monitor.emit("job_start", index=4, attempt=0, pid=9)
         monitor.emit("job_interrupted", index=4, attempt=0)
-        monitor.emit("chunk_bisect", jobs=4, indices=[0, 1, 2, 3])
         assert monitor.interrupted == 1
-        assert monitor.bisections == 1
         assert monitor._in_flight == {}
 
     def test_every_event_lands_in_the_stream_in_emit_order(self):

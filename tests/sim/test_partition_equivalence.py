@@ -68,7 +68,9 @@ class Test1x1Monolithic:
     def test_identical_to_gated(self, allocator):
         cfg = _config(allocator)
         kwargs = dict(injection_rate=0.1, seed=1, **WINDOWS)
-        part = run_simulation(cfg, partition=_partition((1, 1)), **kwargs)
+        part = run_simulation(
+            cfg, partition=_partition((1, 1), domain_engine="gated"), **kwargs
+        )
         gated = run_simulation(cfg, engine="gated", **kwargs)
         assert dataclasses.asdict(part) == dataclasses.asdict(gated)
 
@@ -282,7 +284,10 @@ class TestVectorizedDomains:
             partition=_partition((2, 2), link_latency=4, domain_engine="vectorized"),
             **kwargs,
         )
-        assert _comparable(gated) == _comparable(vec)
+        unnamed = run_simulation(
+            cfg, partition=_partition((2, 2), link_latency=4), **kwargs
+        )
+        assert _comparable(gated) == _comparable(vec) == _comparable(unnamed)
 
     def test_2x2_flow_state_matches_gated_domains(self):
         # VIX at both points; the port-level matchers (priority diagonal,
@@ -293,7 +298,7 @@ class TestVectorizedDomains:
             point = VEC_POINTS[name]
             cfg = _config(allocator, topology=point["topology"])
             sims = {}
-            for de in ("gated", "vectorized"):
+            for de in ("gated", "vectorized", None):
                 sim = PartitionedSimulation(
                     cfg,
                     partition=_partition((2, 2), link_latency=2, domain_engine=de),
@@ -302,10 +307,11 @@ class TestVectorizedDomains:
                 )
                 sim.run(warmup=50, measure=150, drain_limit=0)
                 sims[de] = sim
-            assert sims["vectorized"].flow_state() == sims["gated"].flow_state(), (
-                allocator,
-                name,
-            )
+            assert (
+                sims["vectorized"].flow_state()
+                == sims["gated"].flow_state()
+                == sims[None].flow_state()
+            ), (allocator, name)
 
     @pytest.mark.parametrize("workers, point", _at_vec_points([2, 4]))
     def test_workers_match_serial(self, workers, point):
@@ -378,6 +384,35 @@ class TestVectorizedDomains:
         stepped = res.counters["cycles"] - res.counters["cycles_skipped"]
         assert res.counters["vec_kernel_cycles"] == stepped
         assert 0 < calls.value <= workers * stepped
+
+    def test_unnamed_domain_engine_is_worked_out(self, monkeypatch):
+        """No engine named: the kernel where it can run and pays, gated
+        domains elsewhere — the predicate the ``vectorized`` factory uses."""
+        from repro.network.domain import DomainNetwork
+        from repro.obs import ObservabilityConfig
+        from repro.sim.vec.domain import VecDomain
+
+        monkeypatch.delenv("REPRO_DOMAIN_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_VEC_MIN_FLITS", raising=False)
+
+        def domain_type(allocator="vix", rate=0.1, obs=None):
+            sim = PartitionedSimulation(
+                _config(allocator, topology="cmesh"),
+                partition=_partition((2, 2), link_latency=4),
+                injection_rate=rate,
+                seed=1,
+                obs=obs,
+            )
+            return type(sim.domains[0])
+
+        assert domain_type() is VecDomain
+        assert domain_type(obs=ObservabilityConfig(profile=True)) is VecDomain
+        assert domain_type(obs=ObservabilityConfig(metrics=True)) is DomainNetwork
+        assert domain_type(obs=ObservabilityConfig(trace=True)) is DomainNetwork
+        assert domain_type("packet_chaining") is DomainNetwork
+        assert domain_type(rate=0.001) is DomainNetwork  # under the threshold
+        assert PartitionConfig.from_env().domain_engine is None
+        assert _partition((2, 2)).spec()["domain_engine"] is None
 
     def test_metrics_and_trace_rejected_by_name(self):
         """Probes hook object allocators the kernel never calls: asking for

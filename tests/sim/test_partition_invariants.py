@@ -139,7 +139,7 @@ class TestViolationsDetected:
             check_flit_conservation(sim)
 
     def test_leaked_credit_detected(self):
-        sim = _sim()
+        sim = _sim(domain_engine="gated")  # the object ports are cooked below
         sim.run(warmup=50, measure=100, drain_limit=0)
         link = sim.links[0]
         out = sim.domains[

@@ -37,6 +37,9 @@ ENGINES = {
     "partitioned-2x2-gated": ("partitioned", 0.3, (2, 2), "gated"),
     "partitioned-1x1-vectorized": ("partitioned", 0.3, (1, 1), "vectorized"),
     "partitioned-2x2-vectorized": ("partitioned", 0.3, (2, 2), "vectorized"),
+    # No domain engine named: the kernel here, gated domains once a trace
+    # is asked for (so it is in CAN_TRACE, unlike the named kernel).
+    "partitioned-2x2-unnamed": ("partitioned", 0.3, (2, 2), None),
 }
 #: Engines stepped by object routers: probes and tracers can attach.
 CAN_TRACE = [name for name, spec in ENGINES.items() if spec[3] != "vectorized"]
@@ -98,8 +101,10 @@ class TestEveryEngine:
         assert sim.injector.rate == ENGINES[name][1]
         if ENGINES[name][2] is None:
             assert sim.network.config is CFG
-        sim.run(warmup=10, measure=30, drain_limit=50)
+        result = sim.run(warmup=10, measure=30, drain_limit=50)
         assert sim.flow_state()["cycle"] == sim.cycle
+        if name == "partitioned-2x2-unnamed":
+            assert result.counters["vec_kernel_cycles"] > 0
 
 
 @pytest.mark.parametrize("name", CAN_TRACE)

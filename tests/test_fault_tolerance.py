@@ -1,15 +1,13 @@
-"""Fault-tolerance tests: cancellation, retry, bisection, journal, resume.
+"""Fault-tolerance tests: cancellation, retry, journal, resume.
 
 These exercise the failure paths of the parallel layer under the
 deterministic fault-injection harness (:mod:`repro.parallel.faults`):
 hung workers must be genuinely killed (no zombie completes the job a
-second time, pool shutdown never blocks), crashes retry per job with
-chunk bisection fencing off the poisoned job, and an interrupted sweep
-resumes from the checkpoint journal with byte-identical results.
+second time, pool shutdown never blocks), crashes retry per job, and an
+interrupted sweep resumes from the checkpoint journal with byte-identical results.
 """
 
 import json
-import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -45,13 +43,6 @@ def _touch(path_str):
     """Touch a marker file — detects zombie (post-kill) job completion."""
     Path(path_str).touch()
     return path_str
-
-
-def _exit_on_three(value):
-    """Hard worker death for value 3; succeeds inline (bisection probe)."""
-    if value == 3 and multiprocessing.parent_process() is not None:
-        os._exit(86)
-    return value * 2
 
 
 @pytest.fixture(autouse=True)
@@ -129,16 +120,6 @@ class TestTimeoutCancellation:
 
 
 class TestCrashIsolation:
-    def test_bisection_fences_off_poisoned_job(self):
-        runner = ParallelRunner(2, cache=None, chunksize=4, max_retries=1)
-        with pytest.warns(RuntimeWarning, match="falling back to inline"):
-            out = runner.map(_exit_on_three, list(range(8)))
-        assert out == [v * 2 for v in range(8)]
-        # The poisoned chunk was split instead of dooming its chunk-mates:
-        # only the one bad job reached the inline fallback.
-        assert runner.stats.chunk_bisections >= 2
-        assert runner.stats.inline_fallbacks == 1
-
     def test_persistent_raise_fault_propagates(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "raise@0x*")
         runner = ParallelRunner(2, cache=None, max_retries=1)

@@ -269,6 +269,36 @@ class TestRunnerCaching:
         second.run(jobs)
         assert second.stats.cache_hits == 4 and not second.stats.engine_jobs
 
+    def test_partitioned_footer_names_the_domain_engine(self, monkeypatch):
+        """``partitioned[...]`` reports what stepped the domains: a named
+        engine as named, an unnamed one by whether the kernel ran."""
+        pytest.importorskip("numpy")
+        from repro.network.links import PartitionConfig
+
+        for name in ("REPRO_ENGINE", "REPRO_DOMAIN_ENGINE", "REPRO_VEC_MIN_FLITS"):
+            monkeypatch.delenv(name, raising=False)
+        part = dict(dims=(2, 2), link_latency=2)
+        jobs = [
+            small_job(injection_rate=0.5, partition=PartitionConfig(**part)),
+            small_job(injection_rate=0.001, partition=PartitionConfig(**part)),
+            small_job(
+                injection_rate=0.5,
+                partition=PartitionConfig(domain_engine="dense", **part),
+            ),
+        ]
+        runner = ParallelRunner(1, cache=None)
+        runner.run(jobs)
+        assert runner.stats.engine_jobs == {
+            "partitioned[vectorized]": 1,
+            "partitioned[gated]": 1,
+            "partitioned[dense]": 1,
+        }
+        # Unnamed runs key on the engine as named (null), like SimJob.engine.
+        assert jobs[0].key() != small_job(
+            injection_rate=0.5,
+            partition=PartitionConfig(domain_engine="vectorized", **part),
+        ).key()
+
     def test_sweep_cache_hit_rate(self, tmp_path):
         cache = ResultCache(tmp_path)
         cfg = small_config()
