@@ -91,7 +91,6 @@ class SimJob:
     measure: int = 3000
     drain_limit: int | None = None
     burst_length: float = 1.0
-    fast_injection: bool = False
     engine: str | None = None
     #: Chiplet-domain decomposition (:class:`repro.network.links.
     #: PartitionConfig`); ``None`` = monolithic.  Setting it routes the
@@ -120,7 +119,6 @@ class SimJob:
             measure=self.measure,
             drain_limit=self.drain_limit,
             burst_length=self.burst_length,
-            fast_injection=self.fast_injection,
             engine=self.engine,
             partition=self.partition,
         )
@@ -143,7 +141,6 @@ class SimJob:
             "measure": self.measure,
             "drain_limit": self.drain_limit,
             "burst_length": self.burst_length,
-            "fast_injection": self.fast_injection,
             "engine": self.canonical_engine(),
             # PartitionConfig.spec() excludes ``workers`` (an execution
             # choice, not semantic content — results are identical for

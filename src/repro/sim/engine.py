@@ -37,7 +37,6 @@ class Simulation(RunLoop):
         packet_length: int | None = None,
         seed: int = 1,
         burst_length: float = 1.0,
-        fast_injection: bool = False,
         activity_gating: bool = True,
         obs: ObservabilityConfig | None = None,
     ) -> None:
@@ -62,7 +61,6 @@ class Simulation(RunLoop):
             packet_length=packet_length,
             seed=seed,
             burst_length=burst_length,
-            fast_injection=fast_injection,
         )
         self.stats = StatsCollector(config.num_terminals)
         self.network.stats = self.stats
@@ -99,12 +97,9 @@ class Simulation(RunLoop):
         if not network.gating or network.has_active_work():
             return 0
         now = network.cycle
-        wake = self.injector.next_active_cycle(now)
-        if wake is not None and wake <= now:
+        if self.injector.next_active_cycle(now) is not None:
             return 0
-        nxt = network.next_event_time()
-        if nxt is not None and (wake is None or nxt < wake):
-            wake = nxt
+        wake = network.next_event_time()
         # Nothing scheduled at all: the remaining budget is all idle.
         target = now + budget if wake is None else min(wake, now + budget)
         network.skip_to(target)
@@ -125,7 +120,6 @@ def run_simulation(
     measure: int = 3000,
     drain_limit: int | None = None,
     burst_length: float = 1.0,
-    fast_injection: bool = False,
     activity_gating: bool = True,
     obs: ObservabilityConfig | None = None,
     engine: str | None = None,
@@ -133,8 +127,6 @@ def run_simulation(
 ) -> SimulationResult:
     """One-call convenience wrapper around :class:`Simulation`.
 
-    ``fast_injection`` swaps per-cycle Bernoulli draws for geometric-gap
-    sampling (statistically equivalent, bit-different RNG stream);
     ``activity_gating=False`` restores the dense every-component scan —
     useful only as the equivalence/benchmark baseline.  ``obs`` defaults
     to the environment-resolved observability config (off by default).
@@ -169,7 +161,6 @@ def run_simulation(
         packet_length=packet_length,
         seed=seed,
         burst_length=burst_length,
-        fast_injection=fast_injection,
         obs=obs,
     )
     if chosen == "partitioned":

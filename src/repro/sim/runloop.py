@@ -18,9 +18,8 @@ quiescent cycles, returning how many; 0 when anything can happen now) and
 ``stats``, ``injector`` (rate and packet length), ``_seed`` and ``_obs``.
 
 With per-cycle Bernoulli injection at ``rate > 0`` the injector is active
-every cycle, so no cycle is ever skipped; with ``rate == 0`` or
-``fast_injection=True`` idle gaps are jumped and tallied in the
-``cycles_skipped`` counter.
+every cycle, so no cycle is ever skipped; with ``rate == 0`` idle gaps
+are jumped and tallied in the ``cycles_skipped`` counter.
 """
 
 from __future__ import annotations

@@ -48,15 +48,12 @@ def latency_sweep(
     jobs: int | str | None = None,
     cache: ResultCache | str | None = "default",
     stats: ExecutionStats | None = None,
-    fast_injection: bool = False,
 ) -> list[SweepPoint]:
     """Simulate every rate in ``rates`` and collect the curve.
 
     Rates are independent simulations, so ``jobs=N`` runs N of them
     concurrently; the returned list is always in ``rates`` order with
-    values identical to a serial run.  ``fast_injection=True`` switches
-    the points to geometric-gap injection — statistically equivalent
-    curves, markedly faster at the low-load end of the sweep.
+    values identical to a serial run.
     """
     if not rates:
         raise ValueError("need at least one injection rate")
@@ -71,7 +68,6 @@ def latency_sweep(
             seed=seed,
             warmup=warmup,
             measure=measure,
-            fast_injection=fast_injection,
         )
         for rate in rates
     ]
@@ -114,7 +110,6 @@ def find_saturation_rate(
     jobs: int | str | None = None,
     cache: ResultCache | str | None = "default",
     stats: ExecutionStats | None = None,
-    fast_injection: bool = False,
 ) -> float:
     """Bisect for the highest injection rate the network still sustains.
 
@@ -146,7 +141,6 @@ def find_saturation_rate(
             seed=seed,
             warmup=warmup,
             measure=measure,
-            fast_injection=fast_injection,
         )
 
     def probe(rates: list[float]) -> None:

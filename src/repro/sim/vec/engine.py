@@ -89,12 +89,9 @@ class VectorizedSimulation(Simulation):
         if self._stepper.busy_vcs or network._active_nis:
             return 0
         now = network.cycle
-        wake = self.injector.next_active_cycle(now)
-        if wake is not None and wake <= now:
+        if self.injector.next_active_cycle(now) is not None:
             return 0
-        nxt = self._stepper.next_event_time(now)
-        if nxt is not None and (wake is None or nxt < wake):
-            wake = nxt
+        wake = self._stepper.next_event_time(now)
         target = now + budget if wake is None else min(wake, now + budget)
         network.skip_to(target)
         return target - now

@@ -11,23 +11,11 @@ Every terminal runs an independent injection process:
   long-run average ``rate``.  Bursty arrivals are the standard stress for
   allocation schemes that rely on temporal locality (packet chaining) or
   suffer transient conflicts (plain separable allocators).
-* **Geometric-gap** (``fast_injection=True``): the same Bernoulli process,
-  generated by sampling each terminal's *next* injection cycle from the
-  geometric gap distribution instead of drawing one Bernoulli sample per
-  terminal per cycle.  Statistically equivalent (identical gap law), but a
-  cycle's cost is proportional to the number of injections rather than the
-  number of terminals, and :meth:`TrafficInjector.next_active_cycle`
-  becomes exact — which lets the engine fast-forward idle stretches even
-  mid-run.  Off by default because the RNG stream differs from the
-  per-cycle draw, so results are equivalent in distribution, not
-  bit-identical.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from heapq import heappop, heappush
 
 from repro.network.flit import Packet
 from repro.network.network import Network
@@ -45,7 +33,6 @@ class TrafficInjector:
         packet_length: int | None = None,
         seed: int | str = 1,
         burst_length: float = 1.0,
-        fast_injection: bool = False,
         terminals: tuple[int, ...] | None = None,
         pid_start: int = 0,
         pid_stride: int = 1,
@@ -96,25 +83,6 @@ class TrafficInjector:
             mean_off = burst_length * (1.0 - rate) / rate
             self._p_on = 1.0 / mean_off
             self._on = {src: self.rng.random() < rate for src in self._terminals}
-        # Geometric-gap mode only applies where per-cycle Bernoulli draws
-        # happen: saturated (rate >= 1) and bursty sources keep their loops.
-        self.fast_injection = bool(
-            fast_injection and 0.0 < rate < 1.0 and not self._bursty
-        )
-        if self.fast_injection:
-            self._log_gap = math.log1p(-rate)
-            #: Min-heap of (next injection cycle, terminal).
-            self._next_heap: list[tuple[int, int]] = []
-            for src in self._terminals:
-                heappush(self._next_heap, (self._gap(), src))
-
-    def _gap(self) -> int:
-        """Geometric gap: failures before the next Bernoulli success."""
-        # Inverse-CDF sampling: P(gap = k) = rate * (1-rate)^k, k >= 0.
-        u = self.rng.random()
-        if u <= 0.0:
-            return 0
-        return int(math.log(u) / self._log_gap)
 
     def tick(self, cycle: int) -> int:
         """Generate this cycle's packets; returns how many were accepted."""
@@ -124,8 +92,6 @@ class TrafficInjector:
             # per-terminal loop entirely (the dense loop would draw no
             # observable randomness either — no injections consume it).
             return 0
-        if self.fast_injection:
-            return self._tick_fast(cycle)
         accepted = 0
         rng = self.rng
         saturated = rate >= 1.0
@@ -152,16 +118,6 @@ class TrafficInjector:
             accepted += self._emit(src, cycle)
         return accepted
 
-    def _tick_fast(self, cycle: int) -> int:
-        """Geometric-gap cycle: emit every terminal whose time has come."""
-        accepted = 0
-        heap = self._next_heap
-        while heap and heap[0][0] <= cycle:
-            _, src = heappop(heap)
-            accepted += self._emit(src, cycle)
-            heappush(heap, (cycle + 1 + self._gap(), src))
-        return accepted
-
     def _emit(self, src: int, cycle: int) -> int:
         """Generate one packet at ``src``; returns 1 if the NI accepted it."""
         dst = self.pattern.destination(src, self.rng)
@@ -178,16 +134,7 @@ class TrafficInjector:
     def next_active_cycle(self, now: int) -> int | None:
         """Earliest cycle >= ``now`` at which :meth:`tick` may do work.
 
-        ``None`` means never (injection disabled).  Per-cycle Bernoulli,
-        bursty, and saturated sources draw randomness every cycle, so they
-        report ``now``; geometric-gap mode knows its exact next injection
-        time, which is what lets the engine fast-forward through idle
-        stretches at low load.
+        ``None`` means never (injection disabled).  Every other source
+        draws randomness every cycle, so it reports ``now``.
         """
-        if self.rate == 0.0:
-            return None
-        if self.fast_injection:
-            if not self._next_heap:
-                return None
-            return max(now, self._next_heap[0][0])
-        return now
+        return None if self.rate == 0.0 else now

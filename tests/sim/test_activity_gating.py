@@ -1,10 +1,9 @@
 """Activity gating: dense-vs-gated equivalence, the event wheel, wake/sleep
-bookkeeping, and geometric-gap injection.
+bookkeeping, and the injector's idle fast path.
 
-The contract under test (ISSUE 2 tentpole): with ``fast_injection=False``,
-activity-gated stepping must produce **byte-identical** ``SimulationResult``s
-to the dense every-component loop — same RNG stream, same latencies, same
-activity counters (modulo the new ``router_wakeups`` / ``cycles_skipped``
+The contract under test: activity-gated stepping must produce
+**byte-identical** ``SimulationResult``s to the dense every-component
+loop — same RNG stream, same latencies, same activity counters (modulo the new ``router_wakeups`` / ``cycles_skipped``
 bookkeeping, which measures the gating itself).
 """
 
@@ -148,11 +147,10 @@ class TestWakeSleep:
 
 
 class TestInjectorFastPaths:
-    def _injector(self, rate, *, fast=False, seed=1, terminals=16):
+    def _injector(self, rate, *, seed=1, terminals=16):
         net = Network(_config("input_first", "mesh", terminals))
         pattern = make_pattern("uniform", terminals)
-        return TrafficInjector(net, pattern, rate, seed=seed,
-                               fast_injection=fast)
+        return TrafficInjector(net, pattern, rate, seed=seed)
 
     def test_rate_zero_returns_immediately(self):
         inj = self._injector(0.0)
@@ -160,25 +158,14 @@ class TestInjectorFastPaths:
         assert inj.packets_created == 0
         assert inj.next_active_cycle(5) is None
 
-    def test_fast_mode_disabled_outside_bernoulli(self):
-        assert not self._injector(0.0, fast=True).fast_injection
-        assert not self._injector(1.0, fast=True).fast_injection
-        assert self._injector(0.1, fast=True).fast_injection
-
-    def test_fast_mode_knows_next_injection(self):
-        inj = self._injector(0.01, fast=True)
-        wake = inj.next_active_cycle(0)
-        assert wake is not None
-        assert wake == max(0, inj._next_heap[0][0])
-        # Bernoulli mode must poll every cycle.
+    def test_bernoulli_mode_polls_every_cycle(self):
         assert self._injector(0.01).next_active_cycle(7) == 7
 
     @pytest.mark.parametrize("seed", (1, 2))
-    @pytest.mark.parametrize("fast", (False, True))
-    def test_injection_attempts_match_bernoulli_law(self, fast, seed):
+    def test_injection_attempts_match_bernoulli_law(self, seed):
         """Attempts over N*T trials must sit inside 5 sigma of Binomial."""
         rate, cycles, terminals = 0.1, 4000, 16
-        inj = self._injector(rate, fast=fast, seed=seed, terminals=terminals)
+        inj = self._injector(rate, seed=seed, terminals=terminals)
         for cycle in range(cycles):
             inj.tick(cycle)
         attempts = inj.packets_created + inj.packets_refused
@@ -186,25 +173,6 @@ class TestInjectorFastPaths:
         mean = trials * rate
         sigma = math.sqrt(trials * rate * (1 - rate))
         assert abs(attempts - mean) < 5 * sigma
-
-
-class TestFastInjectionStatisticalEquivalence:
-    def test_end_to_end_results_equivalent(self):
-        """Geometric-gap runs must match Bernoulli runs in distribution."""
-        cfg = _config("vix", "mesh", 16)
-        lat = {False: [], True: []}
-        thr = {False: [], True: []}
-        for fast in (False, True):
-            for seed in (1, 2, 3):
-                res = run_simulation(cfg, injection_rate=0.05, seed=seed,
-                                     warmup=300, measure=2000,
-                                     fast_injection=fast)
-                assert res.drained
-                lat[fast].append(res.avg_latency)
-                thr[fast].append(res.throughput_flits)
-        mean = lambda xs: sum(xs) / len(xs)  # noqa: E731
-        assert mean(lat[True]) == pytest.approx(mean(lat[False]), rel=0.10)
-        assert mean(thr[True]) == pytest.approx(mean(thr[False]), rel=0.10)
 
 
 class TestEngineFastForward:
@@ -216,16 +184,8 @@ class TestEngineFastForward:
         assert res.counters["cycles_skipped"] == 2000
         assert math.isnan(res.avg_latency)
 
-    def test_low_load_fast_injection_skips_idle_gaps(self):
-        cfg = _config("input_first", "mesh", 16)
-        res = run_simulation(cfg, injection_rate=0.001, seed=1,
-                             warmup=500, measure=3000, fast_injection=True)
-        assert res.counters["cycles_skipped"] > 0
-        assert res.counters["cycles"] >= 3500
-
     def test_dense_mode_never_skips(self):
         cfg = _config("input_first", "mesh", 16)
-        res = run_simulation(cfg, injection_rate=0.001, seed=1, warmup=500,
-                             measure=1000, fast_injection=True,
-                             activity_gating=False)
+        res = run_simulation(cfg, injection_rate=0.0, seed=1, warmup=500,
+                             measure=1000, activity_gating=False)
         assert res.counters["cycles_skipped"] == 0

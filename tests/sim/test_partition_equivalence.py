@@ -29,7 +29,8 @@ import pytest
 from repro.network.config import NetworkConfig, RouterConfig
 from repro.network.links import PartitionConfig
 from repro.sim.engine import Simulation, run_simulation
-from repro.sim.partition import PartitionedSimulation
+from repro.sim.partition import PartitionedSimulation, check_invariants
+from repro.sim.vec.support import SUPPORTED_ALLOCATORS
 
 #: Counters measuring the engines themselves (scheduling bookkeeping).
 ENGINE_COUNTERS = ("router_wakeups", "cycles_skipped", "vec_kernel_cycles")
@@ -38,12 +39,15 @@ WINDOWS = dict(warmup=100, measure=300, drain_limit=400)
 
 
 def _config(
-    allocator: str = "input_first", num_terminals: int = 64, topology: str = "mesh"
+    allocator: str = "input_first",
+    num_terminals: int = 64,
+    topology: str = "mesh",
+    **router,
 ) -> NetworkConfig:
     return NetworkConfig(
         topology=topology,
         num_terminals=num_terminals,
-        router=RouterConfig(num_vcs=4, allocator=allocator),
+        router=RouterConfig(allocator=allocator, **{"num_vcs": 4, **router}),
     )
 
 
@@ -203,29 +207,54 @@ class TestEngineSelection:
         assert res.counters["partition_domains"] == 4
 
 
-#: Operating points of the vectorized-domain cases: the low-load mesh,
-#: and the benchmark's ``cmesh16_chiplet`` point (CMesh, VIX, saturation,
-#: link latency 4, no drain phase) on a small fabric.  ``allocator`` is
-#: for the worker-count case, which does not sweep it.
+SHORT_WINDOWS = dict(warmup=20, measure=60, drain_limit=200)
+
+#: Operating points of the vectorized-domain cases: the low-load mesh;
+#: the benchmark's ``cmesh16_chiplet`` point (CMesh, VIX, saturation,
+#: link latency 4, no drain phase) on a small fabric; the low-load mesh
+#: behind narrow (2-flit-serialised) links; and VIX with its dimension-
+#: aware VC policy on 6 VCs, narrow links and a fast credit return.
+#: ``allocator`` is for the worker-count case, which does not sweep it;
+#: ``router`` overrides the 4-VC default router.
 VEC_POINTS = {
     "mesh-low": dict(
-        topology="mesh", allocator="input_first", injection_rate=0.1, windows=WINDOWS
+        topology="mesh",
+        allocator="input_first",
+        injection_rate=0.1,
+        windows=WINDOWS,
+        link=dict(link_latency=4),
     ),
     "cmesh-sat": dict(
         topology="cmesh",
         allocator="vix",
         injection_rate=1.0,
         windows=dict(warmup=50, measure=150, drain_limit=0),
+        link=dict(link_latency=4),
+    ),
+    "mesh-narrow": dict(
+        topology="mesh",
+        injection_rate=0.1,
+        windows=SHORT_WINDOWS,
+        link=dict(link_latency=2, link_width=2),
+    ),
+    "vix6-credit": dict(
+        topology="mesh",
+        injection_rate=0.08,
+        windows=SHORT_WINDOWS,
+        link=dict(link_latency=4, link_width=2, link_credit_latency=1),
+        router=dict(num_vcs=6, vc_policy="vix_dimension"),
     ),
 }
 
 
-def _at_vec_points(values) -> list:
+def _at_vec_points(values, names=("mesh-low", "cmesh-sat")) -> list:
     """``(value, point)`` cases; the low-load mesh keeps the bare value id."""
     return [
-        pytest.param(v, point, id=str(v) if name == "mesh-low" else f"{v}-{name}")
+        pytest.param(
+            v, VEC_POINTS[name], id=str(v) if name == "mesh-low" else f"{v}-{name}"
+        )
         for v in values
-        for name, point in VEC_POINTS.items()
+        for name in names
     ]
 
 
@@ -258,36 +287,25 @@ class TestVectorizedDomains:
 
     @pytest.mark.parametrize(
         "allocator, point",
-        _at_vec_points(
-            [
-                "input_first",
-                "output_first",
-                "vix",
-                "ideal_vix",
-                "wavefront",
-                "augmenting_path",
-            ]
-        ),
+        _at_vec_points(SUPPORTED_ALLOCATORS, ("mesh-low", "cmesh-sat", "mesh-narrow"))
+        + _at_vec_points(["vix"], ("vix6-credit",)),
     )
     def test_2x2_matches_gated_domains(self, allocator, point):
-        cfg = _config(allocator, topology=point["topology"])
-        kwargs = dict(
-            injection_rate=point["injection_rate"], seed=1, **point["windows"]
-        )
-        gated = run_simulation(
-            cfg,
-            partition=_partition((2, 2), link_latency=4, domain_engine="gated"),
-            **kwargs,
-        )
-        vec = run_simulation(
-            cfg,
-            partition=_partition((2, 2), link_latency=4, domain_engine="vectorized"),
-            **kwargs,
-        )
-        unnamed = run_simulation(
-            cfg, partition=_partition((2, 2), link_latency=4), **kwargs
-        )
-        assert _comparable(gated) == _comparable(vec) == _comparable(unnamed)
+        """Gated, vectorized and unnamed domains agree, with flit
+        conservation and credit accounting checked every 25 cycles."""
+        cfg = _config(allocator, topology=point["topology"], **point.get("router", {}))
+        results = []
+        for de in ("gated", "vectorized", None):
+            sim = PartitionedSimulation(
+                cfg,
+                partition=_partition((2, 2), domain_engine=de, **point["link"]),
+                injection_rate=point["injection_rate"],
+                seed=1,
+            )
+            sim.on_cycle = lambda s: s.cycle % 25 or check_invariants(s)
+            results.append(_comparable(sim.run(**point["windows"])))
+            check_invariants(sim)
+        assert results[0] == results[1] == results[2]
 
     def test_2x2_flow_state_matches_gated_domains(self):
         # VIX at both points; the port-level matchers (priority diagonal,
@@ -321,13 +339,13 @@ class TestVectorizedDomains:
         )
         serial = run_simulation(
             cfg,
-            partition=_partition((2, 2), link_latency=4, domain_engine="vectorized"),
+            partition=_partition((2, 2), domain_engine="vectorized", **point["link"]),
             **kwargs,
         )
         parallel = run_simulation(
             cfg,
             partition=_partition(
-                (2, 2), link_latency=4, domain_engine="vectorized", workers=workers
+                (2, 2), domain_engine="vectorized", workers=workers, **point["link"]
             ),
             **kwargs,
         )
