@@ -128,13 +128,11 @@ class Router:
         self._eff_virtual_inputs = config.effective_virtual_inputs
         self._va_arbiters = [RoundRobinArbiter(self.radix * v) for _ in range(self.radix)]
         self._matrix = RequestMatrix(self.radix, self.radix, v)
-        # Routing is a pure function of (router, destination); resolving it
-        # through a flat table turns the per-head route call into a list
-        # index.  Lookahead directions are memoized the same way on first
-        # use (keyed by output port and destination).
-        self._route_table = [
-            topology.route(rid, t) for t in range(topology.num_terminals)
-        ]
+        # Routing is a pure function of (router, destination): this
+        # router's row of the topology's route table turns the per-head
+        # route call into an index.  Lookahead directions are memoized on
+        # first use (keyed by output port and destination).
+        self._route_table = topology.route_table().terminal_row(rid)
         self._lookahead_cache: dict[tuple[int, int], int | None] = {}
         #: Optional FlitTracer (set via ``Observability.attach``); records
         #: VA grants.  ``None`` keeps the hooks dead branches.

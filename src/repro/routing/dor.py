@@ -9,6 +9,7 @@ numbering.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import IntEnum
 
 
@@ -39,6 +40,34 @@ def mesh_next_direction(
     if dst_y < cur_y:
         return MeshDirection.NORTH
     return MeshDirection.LOCAL
+
+
+def mesh_route_rows(
+    width: int, height: int, ports: Mapping[MeshDirection, int]
+) -> list[bytes]:
+    """:func:`mesh_next_direction` from every router toward every router.
+
+    Routers are numbered row-major (``y * width + x``) and ``ports`` maps
+    each hop direction to its port number.  X before Y makes each row
+    closed-form: the router at ``(cx, cy)`` goes west to every column left
+    of ``cx``, east to every column right of it, and in column ``cx`` north
+    to the ``cy`` grid rows above, south to the rows below.  The entry for
+    the router itself is 0 (see :class:`repro.topology.base.RouteTable`).
+    """
+    west = bytes((ports[MeshDirection.WEST],))
+    east = bytes((ports[MeshDirection.EAST],))
+    north = bytes((ports[MeshDirection.NORTH],))
+    south = bytes((ports[MeshDirection.SOUTH],))
+    rows = []
+    for cy in range(height):
+        for cx in range(width):
+            left, right = west * cx, east * (width - cx - 1)
+            rows.append(
+                (left + north + right) * cy
+                + left + b"\0" + right
+                + (left + south + right) * (height - cy - 1)
+            )
+    return rows
 
 
 def mesh_hops(cur_x: int, cur_y: int, dst_x: int, dst_y: int) -> int:

@@ -48,6 +48,7 @@ the per-link counts, exact under summation in serial and worker mode.
 
 from __future__ import annotations
 
+import weakref
 from heapq import heappop
 
 import numpy as np
@@ -81,18 +82,24 @@ class VecFabric:
         self.config = config
         self.topology = topology
         self.s = SoAState(self)
+        # The stepper and the domains point back at the fabric weakly.  The
+        # domains sit in reference cycles (links, NIs), and a strong
+        # back-pointer would keep the static tables (R*P*T wide; la_tab
+        # alone is 256 MiB at 32x32) alive after the engine is dropped,
+        # until the cycle collector's next full pass.
+        net = weakref.proxy(self)
         self.counters = ActivityCounters()
         self.stats = None
         self.interfaces: list = [None] * topology.num_terminals
         self._active_nis: set[int] = set()
         self._in_flight_flits = 0
-        self.stepper = VecStepper(self, self.s)
+        self.stepper = VecStepper(net, self.s)
         self.stepper.ejected = np.zeros(topology.num_terminals, dtype=np.int64)
         # Packets that crossed a link, by pid: each is interned at most
         # once more however many cuts it crosses.
         self.pk_index: dict[int, int] = {}
         self.domains = [
-            VecDomain(config, plan, d, topology, fabric=self)
+            VecDomain(config, plan, d, topology, fabric=net)
             for d in range(plan.num_domains)
         ]
 
@@ -113,8 +120,6 @@ class VecDomain(DomainNetwork):
     ) -> None:
         self.fabric = fabric
         super().__init__(config, plan, domain, topology)
-        self.s = fabric.s
-        self._stepper = fabric.stepper
         self._router_ids = np.array(sorted(self._owned_routers), dtype=np.int64)
         self._terminal_ids = np.array(sorted(self._owned_terminals), dtype=np.int64)
         # Network.inject activates NIs by terminal id: one set for the
@@ -122,6 +127,16 @@ class VecDomain(DomainNetwork):
         self._active_nis = fabric._active_nis
         for t in self._owned_terminals:
             fabric.interfaces[t] = self.interfaces[t]
+
+    # Read through the fabric, so that a domain holds no strong reference
+    # to the tables it slices.
+    @property
+    def s(self) -> SoAState:
+        return self.fabric.s
+
+    @property
+    def _stepper(self) -> VecStepper:
+        return self.fabric.stepper
 
     # The collector is per process, not per domain (serial mode shares one,
     # a worker swaps in its own for the block it owns); the stepper reads

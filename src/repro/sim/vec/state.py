@@ -77,16 +77,25 @@ class SoAState:
         self.depth = rc.buffer_depth
 
         # --- static topology tables ------------------------------------------
-        # Output port toward each destination terminal (Router._route_table).
-        self.route_tab = np.array(
-            [[topo.route(r, t) for t in range(T)] for r in range(R)], dtype=np.int64
+        # Output port toward each destination terminal: the rows of the
+        # topology's route table, as the routers hold them.
+        table = topo.route_table()
+        self.route_tab = (
+            np.frombuffer(b"".join(map(table.terminal_row, range(R))), dtype=np.uint8)
+            .reshape(R, T)
+            .astype(np.int64)
         )
-        # Direction class per (non-local) port; -1 stands in for "ejects
-        # downstream" (the policy's downstream_direction=None).
-        cls_of_port = [
-            -1 if topo.is_local_port(p) else topo.port_direction_class(p)
-            for p in range(P)
-        ]
+        # Direction class per port; -1 stands in for local ports, i.e.
+        # "ejects downstream" (the policy's downstream_direction=None).
+        cls_arr = np.array(
+            [
+                -1 if topo.is_local_port(p) else topo.port_direction_class(p)
+                for p in range(P)
+            ],
+            dtype=np.int64,
+        )
+        # hop_cls[r, t]: direction class of the port router r takes toward t.
+        hop_cls = cls_arr[self.route_tab]
         # Link endpoint tables.  down_* follow an output port to the
         # downstream (router, input port); up_* follow an input port back to
         # the upstream output port.  -1 marks dead edges / local ports (an
@@ -102,23 +111,14 @@ class SoAState:
             self.down_p[spec.src_router, spec.src_port] = spec.dst_port
             self.up_r[spec.dst_router, spec.dst_port] = spec.src_router
             self.up_p[spec.dst_router, spec.dst_port] = spec.src_port
-        # Terminal attached to each local port.
-        self.term_tab = np.array(
-            [[topo.terminal_of(r, p) for p in range(C)] for r in range(R)],
-            dtype=np.int64,
-        )
+        # Terminal attached to each local port (Topology.terminal_of).
+        self.term_tab = np.arange(T, dtype=np.int64).reshape(R, C)
         # Lookahead table: Topology.lookahead_direction(r, p, t) with None
-        # encoded as -1.  Only consulted for VA winners, whose out ports are
-        # always wired and non-local.
-        cls_arr = np.array(cls_of_port, dtype=np.int64)
-        self.la_tab = np.full((R, P, T), -1, dtype=np.int64)
-        for r in range(R):
-            for p in range(C, P):
-                nb = topo.neighbor(r, p)
-                if nb is None:
-                    continue
-                nxt = self.route_tab[nb[0]]
-                self.la_tab[r, p] = np.where(nxt < C, -1, cls_arr[nxt])
+        # encoded as -1, i.e. the downstream router's hop_cls row.  Only
+        # consulted for VA winners, whose out ports are always wired and
+        # non-local; local and dead-edge ports hold -1.
+        self.la_tab = hop_cls[np.maximum(self.down_r, 0)]
+        self.la_tab[self.down_r < 0] = -1
 
         # --- allocation-scheme shape -----------------------------------------
         allocator = allocators.canonical(rc.allocator)
@@ -243,22 +243,17 @@ class SoAState:
         self._m2 = self.k_pol * m1
         self.gtb = (self.k_pol - 1 - gof) * m1
         bonus = (V * (self.sumcap + self.depth) + 1) * self._m2
-        self.vix_bonus = np.zeros((T + 2, V), dtype=np.int64)
-        for d in range(T + 1):
-            self.vix_bonus[d + 1] = (gof == self.dirmap[d + 1]) * bonus
+        self.vix_bonus = np.where(gof == self.dirmap[:, None], bonus, 0)
+        self.vix_bonus[0] = 0
         self.gof = gof
 
-        rof = [topo.router_of(t) for t in range(T)]
+        # Each terminal's (router, local port), as in Topology.router_of.
+        term_router, term_port = np.divmod(np.arange(T, dtype=np.int64), C)
         # Flat flit-arrival base of each terminal's injection channel.
-        self.ni_fi1 = np.array(
-            [(r * P + p) * V for r, p in rof], dtype=np.int64
-        )
+        self.ni_fi1 = (term_router * P + term_port) * V
         # First-hop direction class per (source terminal, destination):
-        # port_direction_class(route(router, dst)), None encoded as -1
-        # (cls_arr already carries -1 for local ports).
-        self.ni_dir1 = cls_arr[self.route_tab][
-            np.array([r for r, _ in rof], dtype=np.int64)
-        ].reshape(-1)
+        # port_direction_class(route(router, dst)), None encoded as -1.
+        self.ni_dir1 = hop_cls[term_router].reshape(-1)
 
     def _build_dynamic(self, rc) -> None:
         """Per-run mutable state at power-on values."""

@@ -5,6 +5,9 @@ between ports, the terminal-to-router attachment, and the deterministic
 (DOR) routing function.  Port indices are used symmetrically: output port
 ``i`` of a router and input port ``i`` of the same router sit on the same
 physical channel direction.
+
+Terminal ``t`` attaches at ``divmod(t, concentration)`` on every topology:
+``(router, local port)``, the inverse of :meth:`Topology.terminal_of`.
 """
 
 from __future__ import annotations
@@ -21,6 +24,34 @@ class LinkSpec:
     src_port: int
     dst_router: int
     dst_port: int
+
+
+@dataclass(frozen=True, slots=True)
+class RouteTable:
+    """The DOR next hop of every (router, destination router) pair.
+
+    ``next_port[r][d]`` is the output port router ``r`` takes toward router
+    ``d``.  The diagonal ``d == r`` holds 0 and is never read: there the
+    destination terminal's own local port applies.  One byte per entry, so
+    ports must be below 256.
+    """
+
+    concentration: int
+    next_port: tuple[bytes, ...]
+
+    def terminal_row(self, router: int) -> bytes:
+        """``route(router, t)`` for every terminal ``t``, as one row.
+
+        Each router entry repeats once per attached terminal, and the
+        router's own terminals get their local ports.
+        """
+        c = self.concentration
+        row = self.next_port[router]
+        out = bytearray(len(row) * c)
+        for local in range(c):
+            out[local::c] = row
+        out[router * c : (router + 1) * c] = range(c)
+        return bytes(out)
 
 
 class Topology(ABC):
@@ -47,15 +78,17 @@ class Topology(ABC):
         that have no neighbor.
         """
 
-    def links(self) -> list[LinkSpec]:
-        """Every directed inter-router link."""
-        out: list[LinkSpec] = []
-        for r in range(self.num_routers):
-            for p in range(self.radix):
-                nb = self.neighbor(r, p)
-                if nb is not None:
-                    out.append(LinkSpec(r, p, nb[0], nb[1]))
-        return out
+    def links(self) -> tuple[LinkSpec, ...]:
+        """Every directed inter-router link (built once per instance)."""
+        links = self.__dict__.get("_links")
+        if links is None:
+            links = self._links = tuple(
+                LinkSpec(r, p, *nb)
+                for r in range(self.num_routers)
+                for p in range(self.radix)
+                if (nb := self.neighbor(r, p)) is not None
+            )
+        return links
 
     def is_local_port(self, port: int) -> bool:
         """True when ``port`` attaches a terminal rather than a router."""
@@ -83,6 +116,32 @@ class Topology(ABC):
         Returns the destination's local port when ``router`` is the
         destination router.
         """
+
+    def route_table(self) -> RouteTable:
+        """:meth:`route` for every router pair (built once per instance).
+
+        Routers and the SoA state read their routing rows from this one
+        table instead of calling :meth:`route` per (router, terminal).
+        """
+        table = self.__dict__.get("_route_table")
+        if table is None:
+            table = self._route_table = RouteTable(
+                self.concentration, tuple(self._route_rows())
+            )
+        return table
+
+    def _route_rows(self) -> list[bytes]:
+        """The rows of :meth:`route_table`: one :meth:`route` call per pair.
+
+        Topologies whose DOR is closed-form arithmetic on coordinates
+        override this to build each row without calling :meth:`route`.
+        """
+        c = self.concentration
+        n = self.num_routers
+        return [
+            bytes(0 if d == r else self.route(r, d * c) for d in range(n))
+            for r in range(n)
+        ]
 
     @abstractmethod
     def port_direction_class(self, port: int) -> int | None:

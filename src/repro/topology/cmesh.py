@@ -11,7 +11,12 @@ c+2 = North, c+3 = South.
 
 from __future__ import annotations
 
-from repro.routing.dor import MeshDirection, mesh_hops, mesh_next_direction
+from repro.routing.dor import (
+    MeshDirection,
+    mesh_hops,
+    mesh_next_direction,
+    mesh_route_rows,
+)
 
 from .base import Topology
 
@@ -85,6 +90,10 @@ class CMeshTopology(Topology):
         if direction is MeshDirection.LOCAL:
             return local
         return self._mesh_port(direction)
+
+    def _route_rows(self) -> list[bytes]:
+        ports = {d: self._mesh_port(d) for d in _DIR_OFFSET}
+        return mesh_route_rows(self.width, self.height, ports)
 
     def port_direction_class(self, port: int) -> int | None:
         if self.is_local_port(port):

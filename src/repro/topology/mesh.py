@@ -6,7 +6,12 @@ The paper's main evaluation network is the 8x8 (64-node) mesh.
 
 from __future__ import annotations
 
-from repro.routing.dor import MeshDirection, mesh_hops, mesh_next_direction
+from repro.routing.dor import (
+    MeshDirection,
+    mesh_hops,
+    mesh_next_direction,
+    mesh_route_rows,
+)
 
 from .base import Topology
 
@@ -86,6 +91,9 @@ class MeshTopology(Topology):
         cx, cy = self.coords(router)
         dx, dy = self.coords(dst_router)
         return _DIRECTION_TO_PORT[mesh_next_direction(cx, cy, dx, dy)]
+
+    def _route_rows(self) -> list[bytes]:
+        return mesh_route_rows(self.width, self.height, _DIRECTION_TO_PORT)
 
     def port_direction_class(self, port: int) -> int | None:
         if port == PORT_LOCAL:

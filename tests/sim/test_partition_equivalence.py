@@ -285,6 +285,27 @@ class TestVectorizedDomains:
         assert dataclasses.asdict(r2) == dataclasses.asdict(r1)
         assert part.flow_state() == mono.flow_state()
 
+    def test_dropped_fabric_frees_its_tables_without_the_cycle_collector(self):
+        """Only the engine holds the fabric strongly: once a finished run's
+        engine is dropped, its tables go at once, not at the cycle
+        collector's next pass (the domains themselves stay cyclic)."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            sim = PartitionedSimulation(
+                _config("vix"),
+                partition=_partition((2, 2), domain_engine="vectorized"),
+                injection_rate=0.1,
+            )
+            sim.run(warmup=20, measure=40, drain_limit=0)
+            tables = weakref.ref(sim._fabric.s)
+            del sim
+            assert tables() is None
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize(
         "allocator, point",
         _at_vec_points(SUPPORTED_ALLOCATORS, ("mesh-low", "cmesh-sat", "mesh-narrow"))
