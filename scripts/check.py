@@ -9,8 +9,10 @@ wall-clock ``[perf_counters]`` footer is stripped:
   gated elsewhere) == the ``REPRO_ENGINE=dense`` reference loop; f9 also
   with numpy unimportable, where every job must run on ``gated``;
 * ``partition`` -- a 1x1 zero-latency partition on gated domains == the
-  monolithic dense engine; f12 on the vectorized engine == 1x1
-  vectorized domains == 1x1 domains with no engine named;
+  monolithic dense engine; f12 on the dense engine == the vectorized
+  engine == 1x1 vectorized domains == 1x1 domains with no engine named
+  (the vectorized engine is the 1x1 kernel partition, so dense is the
+  row's only object-engine reference);
 * ``golden`` -- the reference source tree given by ``--ref-src`` (CI: the
   pre-refactor commit 44fd589) == this tree;
 * ``faults`` -- a reduced Figure-8 sweep with one worker hard-exiting and
@@ -275,7 +277,7 @@ ROWS = (
     ("engines", "t1", "dense", "default"),
     ("partition", "f8", "dense", "1x1-gated"),
     ("partition", "t1", "dense", "1x1-gated"),
-    ("partition", "f12", "vectorized", "1x1-vectorized", "1x1-unnamed"),
+    ("partition", "f12", "dense", "vectorized", "1x1-vectorized", "1x1-unnamed"),
     ("golden", "f8", "ref", "default"),
     ("golden", "t1", "ref", "default"),
     ("faults", REDUCED_F8, "default", "faulted"),

@@ -11,13 +11,12 @@ iterate the compact ``_live_*`` aliases and never see a hole.
 Boundary wiring is left open by ``_wire_link`` (cut links are skipped)
 and closed by the partition engine, which threads one
 :class:`~repro.network.links.InterChipLink` per cut link through
-:meth:`attach_egress` / :meth:`attach_ingress`.  After that the domain
+:meth:`attach_egress` / :meth:`attach_ingress`; the link returns its
+credits to the port :meth:`egress_port` names.  After that the domain
 satisfies the SimDomain contract the partitioned engine steps against:
 
 * own routers / NIs / flow state (``step``, ``step_dense``, ``inject``,
   occupancy queries, ``export_flow_state``);
-* explicit boundary ports (:meth:`boundary_ports`, straight from the
-  plan);
 * a local activity flag (``has_active_work`` + ``next_event_time``) that
   the engine reduces into the fpgagraphlib-style global-quiescence test.
 """
@@ -69,7 +68,7 @@ class DomainNetwork(Network):
                 t,
                 *self.topology.router_of(t),
                 config=rc,
-                policy=self.routers[self.topology.router_of(t)[0]].vc_policy,
+                policy=self.vc_policy,
                 topology=self.topology,
             )
             if t in owned
@@ -89,22 +88,19 @@ class DomainNetwork(Network):
 
     # --- boundary wiring ---------------------------------------------------
 
-    def owns_router(self, rid: int) -> bool:
-        return self.routers[rid] is not None
-
-    def boundary_ports(self) -> dict[str, tuple[tuple[int, int], ...]]:
-        """This domain's ``egress``/``ingress`` boundary (router, port) pairs."""
-        return self.plan.boundary_ports(self.domain_index)
-
-    def attach_egress(self, link: InterChipLink) -> None:
-        """Hook a cut link's source side to our boundary output port."""
-        spec = link.spec
+    def egress_port(self, spec):
+        """Our output port at the source of cut link ``spec``: the sink
+        the link returns its credits to."""
         out = self.routers[spec.src_router].outputs[spec.src_port]
         if out is None:
             raise RuntimeError(
                 f"domain {self.domain_index}: cut link {spec} has no egress port"
             )
-        out.link = link
+        return out
+
+    def attach_egress(self, link: InterChipLink) -> None:
+        """Hook a cut link's source side to our boundary output port."""
+        self.egress_port(link.spec).link = link
 
     def attach_ingress(self, link: InterChipLink) -> None:
         """Hook a cut link's destination side to our boundary input port.

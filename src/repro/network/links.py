@@ -12,8 +12,10 @@ channel that keeps the credit loop *closed* across the cut:
   (``latency`` = 0 reproduces the monolithic on-chip hop exactly);
 * **reverse** — when the destination router forwards the flit onward,
   the freed buffer slot's credit travels back after ``credit_delay +
-  credit_latency`` cycles and lands on the *source-side*
-  :class:`~repro.network.router.OutputPort` credit counter.
+  credit_latency`` cycles and lands on the *source-side* port's credit
+  counter (the port the source domain's ``egress_port`` names: an
+  :class:`~repro.network.router.OutputPort` on object domains, a row of
+  the SoA credit tensor on kernel domains).
 
 Because the source port's credit counter still mirrors the destination
 buffer depth exactly (only with longer loop delay), partitioning can
@@ -285,17 +287,13 @@ class InterChipLink:
         self._pipe = rc.pipeline_stages
         self._credit_delay = rc.credit_delay
         self._credit_latency = config.effective_credit_latency
-        self._src_port = (
-            src_net.routers[spec.src_router].outputs[spec.src_port]
-            if src_net is not None
-            else None
-        )
+        #: Where returning credits land: the source domain's boundary port
+        #: (the domain's ``attach_egress`` hooks the port to this link).
+        self._src_port = src_net.egress_port(spec) if src_net is not None else None
         # Serialization state: the cycle the link is next free to accept
         # a flit (width-factor model; unused at width <= 1).
         self._slot = -1
         self._slot_free = 0
-        if src_net is not None:
-            self._src_port.link = self
 
     # --- forward channel ---------------------------------------------------
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from repro.energy.activity import ActivityCounters
+from repro.registry import allocators as _allocators, vc_policies as _vc_policies
 from repro.topology import Topology, make_topology
 
 from .buffer import VCState
@@ -55,19 +56,24 @@ class Network:
                 f"config wants {config.num_terminals}"
             )
         rc = config.router
+        radix = self.topology.radix
+        # Every engine, kernel domains included, builds through here: one
+        # allocator and one VC policy validate the config (VIX with one
+        # virtual input fails here, not at the first router), and the NIs
+        # share the policy, which is stateless.
+        _allocators.create(rc.allocator, radix, radix, rc.num_vcs, rc.virtual_inputs)
+        self.vc_policy = _vc_policies.create(rc.vc_policy)
         # Builder seams: DomainNetwork overrides these to instantiate only
         # the routers/NIs its partition domain owns (``None`` holes keep
         # full-length id-indexed lists, so every id-based lookup works
         # unchanged).  The monolithic network builds everything.
-        self.routers = self._build_routers(rc)
+        self.interfaces = self._build_interfaces(rc)
         #: Compact aliases skipping ``None`` holes — the per-cycle loops
         #: and occupancy scans iterate these, never the full lists.
+        self._live_interfaces = [ni for ni in self.interfaces if ni is not None]
+        self.routers = self._build_routers(rc)
         self._live_routers = [r for r in self.routers if r is not None]
         self._wire()
-        self.interfaces = self._build_interfaces(rc)
-        self._live_interfaces = [ni for ni in self.interfaces if ni is not None]
-        for ni in self._live_interfaces:
-            self.routers[ni.router_id].upstream[ni.local_port] = ni
         self.counters = ActivityCounters()
         # Flits carried per directed link, held as per-router arrays indexed
         # by output port (a plain list increment in the grant loop instead
@@ -114,7 +120,7 @@ class Network:
                 t,
                 *self.topology.router_of(t),
                 config=rc,
-                policy=self.routers[self.topology.router_of(t)[0]].vc_policy,
+                policy=self.vc_policy,
                 topology=self.topology,
             )
             for t in range(self.topology.num_terminals)
@@ -126,10 +132,6 @@ class Network:
         self.routers[spec.dst_router].upstream[spec.dst_port] = src.outputs[
             spec.src_port
         ]
-
-    def iter_routers(self) -> list[Router]:
-        """The instantiated routers (domain networks skip unowned ids)."""
-        return self._live_routers
 
     def iter_interfaces(self) -> list[NetworkInterface]:
         """The instantiated NIs (domain networks skip unowned terminals)."""
@@ -166,6 +168,8 @@ class Network:
                 )
         for spec in topo.links():
             self._wire_link(spec)
+        for ni in self._live_interfaces:
+            self.routers[ni.router_id].upstream[ni.local_port] = ni
 
     @property
     def link_flits(self) -> dict[tuple[int, int], int]:
@@ -469,10 +473,6 @@ class Network:
             self.step()
 
     # --- occupancy queries ---------------------------------------------------
-
-    def buffered_flits(self) -> int:
-        """Flits buffered in all routers right now."""
-        return sum(r.buffered_flits() for r in self._live_routers)
 
     def outstanding_flits(self) -> int:
         """Flits anywhere between source NI queue and ejection.

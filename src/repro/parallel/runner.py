@@ -144,8 +144,9 @@ class ExecutionStats:
     max_job_seconds: float = 0.0
     #: Per-phase (warmup/measure/drain) wall time summed over the fresh
     #: runs; only populated when profiling is on (``REPRO_PROFILE``).
-    #: The vectorized engine adds a ``kernel`` phase (array-kernel time),
-    #: which is how ``report_metrics.py`` attributes time to the SoA core.
+    #: Every run that steps the SoA kernel adds a ``kernel`` phase (the
+    #: fabric's kernel phases, monolithic or partitioned); worker-mode
+    #: partitions report no spans.
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: Fresh jobs per engine backend that stepped them (cache hits
     #: excluded; a vectorized run that delegated counts under ``gated``).

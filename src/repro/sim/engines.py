@@ -110,17 +110,11 @@ def _vectorized_engine(
     **sim_kwargs,
 ):
     """The SoA-kernel engine, or the gated object engine where that is
-    faster (:func:`_kernel_pays`)."""
-    try:
-        from repro.sim.vec import VectorizedSimulation, require_vectorizable
-    except ImportError as exc:
-        raise ImportError(
-            "the 'vectorized' engine needs numpy, which is not installed; "
-            "install it (pip install 'numpy>=1.24') or pick one of the "
-            "object engines ('dense', 'gated')"
-        ) from exc
+    faster (:func:`_kernel_pays`).  Only building the kernel fabric needs
+    numpy, so the gated delegate runs without it."""
     from repro.obs import ObservabilityConfig
     from repro.sim.engine import Simulation
+    from repro.sim.vec import VectorizedSimulation, require_vectorizable
 
     require_vectorizable(config)
     if obs is None:

@@ -63,8 +63,9 @@ def check_credit_accounting(sim) -> None:
     ``credit_of``/``ni_credit_of``, buffer occupancy via
     ``occupancy_of``, pending events via ``pending_event_index`` (which
     keys credit sinks *structurally*: ``(router, port, vc)`` for router
-    output ports, ``("ni", terminal, vc)`` for injection channels) — so
-    the same scan fences object and vectorized domains alike.
+    output ports, ``("ni", terminal, vc)`` for injection channels) — and
+    the links to check come from ``sim.topology.links()``, so the same
+    scan fences object and vectorized domains alike.
     """
     depth = sim.config.router.buffer_depth
     num_vcs = sim.config.router.num_vcs
@@ -104,20 +105,21 @@ def check_credit_accounting(sim) -> None:
                     f"buffer depth {depth}"
                 )
 
-    # Interior router-to-router links and NI injection channels.
+    # Interior router-to-router links, read from the topology (a kernel
+    # domain has no router objects to walk), then NI injection channels.
+    for spec in sim.topology.links():
+        d = rd[spec.src_router]
+        if rd[spec.dst_router] != d:
+            continue  # a cut link: checked with its link below
+        check_pair(
+            f"link r{spec.src_router}.p{spec.src_port}->r{spec.dst_router}",
+            d,
+            (spec.src_router, spec.src_port),
+            d,
+            spec.dst_router,
+            spec.dst_port,
+        )
     for d, dom in enumerate(sim.domains):
-        for router in dom.iter_routers():
-            for out in router.outputs:
-                if out is None or out.is_ejection or out.link is not None:
-                    continue
-                check_pair(
-                    f"link r{router.rid}.p{out.index}->r{out.dest_router}",
-                    d,
-                    (router.rid, out.index),
-                    d,
-                    out.dest_router,
-                    out.dest_port,
-                )
         for ni in dom.iter_interfaces():
             check_pair(
                 f"injection t{ni.terminal}->r{ni.router_id}",

@@ -2,11 +2,11 @@
 
 The capability checks (:mod:`~repro.sim.vec.support`) are numpy-free and
 import eagerly — callers probe vectorizability without the dependency.
-:class:`VectorizedSimulation` loads lazily on first attribute access and
-is what actually needs numpy; the engine registry
-(:mod:`repro.sim.engines`) catches the ImportError and re-raises it with
-install guidance, so numpy-less environments keep the object engines fully
-working.
+:class:`VectorizedSimulation` loads lazily on first attribute access; what
+needs numpy is the kernel fabric it builds
+(:mod:`~repro.sim.vec.domain`), whose ImportError the partition engine
+re-raises with install guidance, so numpy-less environments keep the
+object engines fully working.
 """
 
 from .support import (

@@ -1,17 +1,19 @@
-"""Array-backed partition domains: one SoA kernel behind every SimDomain.
+"""The kernel fabric: one SoA state and stepper behind every SimDomain.
 
-A partitioned fabric on the vectorized domain engine is one
-:class:`VecFabric` — a single full-topology
-:class:`~repro.sim.vec.state.SoAState` and a single
+Every run on the SoA kernel is one :class:`VecFabric` — a single
+full-topology :class:`~repro.sim.vec.state.SoAState` and a single
 :class:`~repro.sim.vec.stepping.VecStepper` — plus one :class:`VecDomain`
-per chiplet.  Routers are independent within a cycle and every cut-link
-effect lands at least one cycle in the future, so nothing orders sibling
-domains inside a cycle: the per-cycle unit is "every owned domain ticks
-its injector and drains its event wheel into the shared ring slot
-(:meth:`VecDomain.step`), then ``deliver`` → ``ni_phase`` → ``allocate``
-run once over the union (:meth:`VecFabric.step`)".  The size-independent
-numpy dispatch of a kernel cycle is paid once per fabric, not once per
-domain.
+per chiplet; the monolithic ``vectorized`` engine is the 1x1 fabric
+(:class:`~repro.sim.vec.engine.VectorizedSimulation`).  The kernel owns
+every router's state: no object :class:`~repro.network.router.Router`
+is built under it.  Routers are independent within a cycle and every
+cut-link effect lands at least one cycle in the future, so nothing
+orders sibling domains inside a cycle: the per-cycle unit is "every
+owned domain ticks its injector and drains its event wheel into the
+shared ring slot (:meth:`VecDomain.step`), then ``deliver`` →
+``ni_phase`` → ``allocate`` run once over the union
+(:meth:`VecFabric.step`)".  The size-independent numpy dispatch of a
+kernel cycle is paid once per fabric, not once per domain.
 
 :class:`VecDomain` subclasses :class:`~repro.network.domain.DomainNetwork`
 and keeps everything that gives a domain its identity — plan
@@ -22,8 +24,8 @@ it through the same SimDomain contract object domains satisfy
 ``export_flow_state()``) and serial round-robin, worker forks (a worker
 inherits the whole fabric and steps only its block of domains; the other
 domains' rows stay inert in its copy), epoch barriers, and the invariant
-checker all work unchanged.  Its introspection answers are the owned
-rows of the shared tensors.
+checker all work unchanged.  Its router list is all holes; its
+introspection answers are the owned rows of the shared tensors.
 
 Boundary traffic meets the array world in two places:
 
@@ -35,7 +37,8 @@ Boundary traffic meets the array world in two places:
   owning domain's network event wheel (their latencies may exceed the
   ring horizon); :meth:`VecDomain._drain_wheel` translates the cycle's
   events into one array chunk per kind and feeds them to the shared ring
-  slot.
+  slot.  A returning credit names its port by the :class:`PortRef`
+  :meth:`VecDomain.egress_port` gave the link.
 
 Counters: a domain's ``flits_ejected`` and ``link_traversals`` are cut
 from per-terminal / per-link tallies at snapshot time.  The kernel's
@@ -50,6 +53,8 @@ from __future__ import annotations
 
 import weakref
 from heapq import heappop
+from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +75,19 @@ _FABRIC_COUNTERS = (
 )
 
 
+class PortRef(NamedTuple):
+    """A kernel domain's boundary output port, as a credit event names it.
+
+    Stands where an object domain's ``OutputPort`` would: the fields are
+    the ones credit events are keyed by (router, port index).
+    """
+
+    owner: int
+    index: int
+
+
 class VecFabric:
-    """The SoA state, stepper and sibling domains of one partitioned fabric.
+    """The SoA state, stepper and sibling domains of one kernel fabric.
 
     Doubles as the stepper's ``net``: NIs, the active-NI set and the stats
     collector are shared by every domain of the process, so the union the
@@ -81,7 +97,6 @@ class VecFabric:
     def __init__(self, config, plan, topology) -> None:
         self.config = config
         self.topology = topology
-        self.s = SoAState(self)
         # The stepper and the domains point back at the fabric weakly.  The
         # domains sit in reference cycles (links, NIs), and a strong
         # back-pointer would keep the static tables (R*P*T wide; la_tab
@@ -90,26 +105,33 @@ class VecFabric:
         net = weakref.proxy(self)
         self.counters = ActivityCounters()
         self.stats = None
+        #: The run's PhaseTimer under profiling (``span_kernel_us``).
+        self.timer = None
         self.interfaces: list = [None] * topology.num_terminals
         self._active_nis: set[int] = set()
         self._in_flight_flits = 0
-        self.stepper = VecStepper(net, self.s)
-        self.stepper.ejected = np.zeros(topology.num_terminals, dtype=np.int64)
         # Packets that crossed a link, by pid: each is interned at most
         # once more however many cuts it crosses.
         self.pk_index: dict[int, int] = {}
+        # Domains first: building them validates the config (see Network).
         self.domains = [
             VecDomain(config, plan, d, topology, fabric=net)
             for d in range(plan.num_domains)
         ]
+        self.s = SoAState(topology, config)
+        self.stepper = VecStepper(net, self.s)
 
     def step(self, now: int) -> None:
         """The kernel phases of cycle ``now``, once over every domain."""
+        timer = self.timer
+        start = perf_counter() if timer is not None else 0.0
         stepper = self.stepper
         stepper.deliver(now)
         stepper.ni_phase(now)
         stepper.allocate(now)
         stepper.kernel_cycles += 1
+        if timer is not None:
+            timer.add("kernel", perf_counter() - start)
 
 
 class VecDomain(DomainNetwork):
@@ -149,15 +171,24 @@ class VecDomain(DomainNetwork):
     def stats(self, collector) -> None:
         self.fabric.stats = collector
 
+    # --- no object routers: the SoA tables are the routers and the wiring --
+
+    def _build_routers(self, rc) -> list:
+        return [None] * self.topology.num_routers
+
+    def _wire(self) -> None:
+        pass
+
     # --- boundary wiring ---------------------------------------------------
 
+    def egress_port(self, spec) -> PortRef:
+        return PortRef(spec.src_router, spec.src_port)
+
     def attach_egress(self, link: InterChipLink) -> None:
-        super().attach_egress(link)
         spec = link.spec
         self._stepper.add_egress(spec.src_router * self.s.P + spec.src_port, link)
 
     def attach_ingress(self, link: InterChipLink) -> None:
-        super().attach_ingress(link)
         spec = link.spec
         self._stepper.add_ingress(spec.dst_router * self.s.P + spec.dst_port, link)
 
@@ -210,7 +241,7 @@ class VecDomain(DomainNetwork):
                 arr_fi.append((rid * P + port) * V + vc)
                 arr_pk.append(idx)
                 arr_sq.append(flit.seq)
-            else:  # _CREDIT: sink is our boundary OutputPort object
+            else:  # _CREDIT: sink is the PortRef of our boundary port
                 _, sink, vc, release = ev
                 cred_fi.append((sink.owner * P + sink.index) * V + vc)
                 cred_rel.append(release)

@@ -55,15 +55,16 @@ ACTIVE = 2
 
 
 class SoAState:
-    """Dense tensors mirroring one :class:`~repro.network.network.Network`.
+    """Every router of one topology as dense tensors.
 
-    Built from a freshly-constructed network (power-on state: everything
-    idle, every credit at ``buffer_depth``, every pointer at 0).
+    Built at power-on state (everything idle, every credit at
+    ``buffer_depth``, every pointer at 0) from the topology and the
+    network config alone: no object router exists behind it.
     """
 
-    def __init__(self, network) -> None:
-        self._build_static(network.topology, network.config)
-        self._build_dynamic(network.config.router)
+    def __init__(self, topology, config) -> None:
+        self._build_static(topology, config)
+        self._build_dynamic(config.router)
 
     def _build_static(self, topo, config) -> None:
         """Topology/scheme lookup tables (pure functions of the config)."""
@@ -334,7 +335,8 @@ class SoAState:
         self.ni_seq = np.zeros(T, dtype=np.int64)
         self.ni_pk = np.full(T, -1, dtype=np.int64)
 
-        # Per-link flit counts, flushed into Network._link_counts at run end.
+        # Per-link flit counts, moved into the owning domain's link counts
+        # whenever it snapshots its counters.
         self.links = np.zeros((R, P), dtype=np.int64)
         self.links1 = self.links.reshape(-1)
 

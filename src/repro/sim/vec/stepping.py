@@ -1,28 +1,25 @@
-"""The SoA per-cycle stepper, shared by the monolithic and domain engines.
+"""The SoA per-cycle stepper of a :class:`~repro.sim.vec.domain.VecFabric`.
 
-:class:`VecStepper` owns the hot path that used to live inside
-:class:`~repro.sim.vec.engine.VectorizedSimulation`: the fixed-size event
+:class:`VecStepper` owns the kernel's hot path: the fixed-size event
 ring, flit/credit delivery, the vectorized NI phase, and grant
-application over one :class:`~repro.sim.vec.state.SoAState`.  Either
-engine drives exactly one stepper over the whole topology: the monolithic
-engine over its :class:`~repro.network.network.Network`, the partitioned
-engine over the :class:`~repro.sim.vec.domain.VecFabric` its sibling
-domains share — routers are independent within a cycle, so one kernel
-call per cycle steps every domain and the size-independent numpy
-dispatch is paid once per fabric, not once per domain.
+application over one :class:`~repro.sim.vec.state.SoAState`.  Every
+kernel run drives exactly one stepper over the whole topology, on the
+fabric its domains share — the monolithic ``vectorized`` engine is the
+1x1 fabric.  Routers are independent within a cycle, so one kernel call
+per cycle steps every domain and the size-independent numpy dispatch is
+paid once per fabric, not once per domain.
 
-Boundary traffic is the only difference between the two: the fabric
-registers every cut link's ports via :meth:`add_egress`/
+Cut links are registered per port via :meth:`add_egress`/
 :meth:`add_ingress`, and :meth:`apply_grants` diverts granted flits on
 masked output ports into
 :meth:`~repro.network.links.InterChipLink.send_flit` (and freed buffer
 credits on masked input ports into ``send_credit``) instead of the local
 ring — the exact calls the object engine's grant loop makes at a
 boundary, so link serialization, latency, and outbox behavior are
-identical across domain engines.  The fabric also asks for a per-terminal
-ejection tally (:attr:`VecStepper.ejected`), from which each domain reads
-its own ``flits_ejected``.  With no masks and no tally (the monolithic
-case) the guarded branches never run.
+identical across domain engines.  A fabric without cut links (1x1) never
+builds the masks.  Ejections are tallied per terminal
+(:attr:`VecStepper.ejected`), from which each domain reads its own
+``flits_ejected``.
 
 Per-cycle event uniqueness — at most one arrival per (router, input
 port) and one credit per (output port, VC) per cycle, including across
@@ -82,18 +79,19 @@ class VecStepper:
         "ejected",
     )
 
-    def __init__(self, network, s: SoAState) -> None:
-        self.net = network
+    def __init__(self, fabric, s: SoAState) -> None:
+        #: The fabric: NIs, the active-NI set, counters and the collector.
+        self.net = fabric
         self.s = s
         # Resolved through the module globals, not imported by name: an
         # outside tracer that wraps ``kernels.sa_*`` is picked up by every
         # stepper built after it.
         self._sa = getattr(kernels, s.sa_kernel)
-        rc = network.config.router
+        rc = fabric.config.router
         self._pipe = rc.pipeline_stages
         self._cdel = rc.credit_delay
         # Event ring: one slot per future cycle up to the longest *local*
-        # latency (cut-link events ride the network wheel instead — their
+        # latency (cut-link events ride the domain's wheel instead — their
         # latencies may exceed any fixed horizon).
         self._ring_size = max(self._pipe, self._cdel, 1) + 1
         self._slots = [
@@ -110,9 +108,8 @@ class VecStepper:
         self._egress_mask: np.ndarray | None = None
         self._ingress: dict[int, object] = {}
         self._ingress_mask: np.ndarray | None = None
-        #: Flits ejected per terminal since the owning domain last read
-        #: them; allocated by the partitioned fabric only.
-        self.ejected: np.ndarray | None = None
+        #: Flits ejected per terminal since the owning domain last read them.
+        self.ejected = np.zeros(s.T, dtype=np.int64)
 
     # --- boundary registration ---------------------------------------------
 
@@ -239,10 +236,9 @@ class VecStepper:
         ejected = self.ejected
         for terms, pks, tails in slot["ej"]:
             n = len(terms)
-            if ejected is not None:
-                # One grant per ejection port per cycle: terminals are
-                # distinct within a chunk, so fancy += is exact.
-                ejected[terms] += 1
+            # One grant per ejection port per cycle: terminals are
+            # distinct within a chunk, so fancy += is exact.
+            ejected[terms] += 1
             counters.flits_ejected += n
             self.net._in_flight_flits -= n
             if in_window:
@@ -302,11 +298,11 @@ class VecStepper:
         pushed into ``_current_flits`` while a packet streams from the SoA
         side and cleared when its tail leaves.
         """
-        network = self.net
-        active_nis = network._active_nis
+        fabric = self.net
+        active_nis = fabric._active_nis
         if not active_nis:
             return
-        interfaces = network.interfaces
+        interfaces = fabric.interfaces
         s = self.s
         V = s.V
         terms = np.fromiter(active_nis, np.int64, len(active_nis))
@@ -363,7 +359,7 @@ class VecStepper:
         s.ni_rem[st] = nrem
         self.slot(now + 1)["arr"].append((s.ni_fi1[st] + svc, s.ni_pk[st], sq))
         self._slot_n[(now + 1) % self._ring_size] += st.size
-        network._in_flight_flits += st.size
+        fabric._in_flight_flits += st.size
         for t in st[nrem == 0].tolist():
             ni = interfaces[t]
             ni._current_flits.clear()

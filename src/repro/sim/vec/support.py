@@ -82,14 +82,9 @@ def vectorization_unsupported_reason(config: "NetworkConfig") -> str | None:
             f"topology {config.topology!r} overrides allowed_vcs (dateline VC "
             "masking), which the VA kernel does not model"
         )
-    k = config.router.effective_virtual_inputs
-    if config.router.num_vcs % max(1, k) != 0:
-        # Unreachable through the allocator constructors (they validate the
-        # same divisibility), kept as a defensive invariant for the reshape.
-        return (
-            f"num_vcs ({config.router.num_vcs}) is not divisible by the "
-            f"effective virtual inputs ({k})"
-        )
+    # A config no allocator accepts (e.g. VIX VCs that do not split into
+    # its sub-groups) is no capability question: every engine rejects it
+    # with the allocator's ValueError when it builds the network.
     return None
 
 

@@ -76,6 +76,7 @@ def _linked_pair(link_config: LinkConfig):
     link = InterChipLink(
         0, spec, link_config, src_net=domains[0], dst_net=domains[1]
     )
+    domains[0].attach_egress(link)
     domains[1].attach_ingress(link)
     return domains, spec, link
 

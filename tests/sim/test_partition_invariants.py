@@ -149,5 +149,19 @@ class TestViolationsDetected:
         with pytest.raises(PartitionInvariantError, match="credit"):
             check_credit_accounting(sim)
 
+    def test_leaked_credit_detected_on_kernel_domains(self):
+        """An interior link of a kernel domain: the checker must find it
+        without router objects to walk."""
+        sim = _sim(domain_engine="vectorized")
+        sim.run(warmup=50, measure=100, drain_limit=0)
+        rd = sim.plan.router_domain
+        spec = next(
+            s for s in sim.topology.links() if rd[s.src_router] == rd[s.dst_router]
+        )
+        check_credit_accounting(sim)
+        sim.domains[0].s.ocred[spec.src_router, spec.src_port, 0] += 1
+        with pytest.raises(PartitionInvariantError, match="credit"):
+            check_credit_accounting(sim)
+
     def test_error_is_an_assertion(self):
         assert issubclass(PartitionInvariantError, AssertionError)

@@ -24,7 +24,6 @@ from repro.core.arbiter import rr_winner
 from repro.core.matching import hopcroft_karp, matching_size
 from repro.core.requests import RequestMatrix
 from repro.network.config import NetworkConfig, RouterConfig
-from repro.network.network import Network
 from repro.registry import UnknownSchemeError
 from repro.sim.engine import run_simulation
 from repro.sim.vec import (
@@ -35,6 +34,7 @@ from repro.sim.vec import (
 from repro.sim.vec.engine import VectorizedSimulation
 from repro.sim.vec.kernels import rr_pick
 from repro.sim.vec.state import ACTIVE, SoAState
+from repro.topology import make_topology
 
 #: Counters measuring the engines themselves: allowed to differ (the dense
 #: loop never sleeps or runs the kernel, so it never counts either).
@@ -308,7 +308,8 @@ _TABLE = st.lists(
 
 
 def _twin_state(allocator: str) -> SoAState:
-    s = SoAState(Network(_config(allocator, "max_credit", 1, num_terminals=4)))
+    cfg = _config(allocator, "max_credit", 1, num_terminals=4)
+    s = SoAState(make_topology(cfg.topology, cfg.num_terminals), cfg)
     assert (s.R, s.P, s.V) == (TWIN_R, TWIN_P, TWIN_V)
     return s
 

@@ -114,9 +114,9 @@ def test_soa_tables_match_per_element_definitions(allocator, topology, terminals
     np = pytest.importorskip("numpy")
     from repro.sim.vec.state import SoAState
 
-    net = Network(_config(allocator, topology, terminals))
-    s = SoAState(net)
-    topo = net.topology
+    config = _config(allocator, topology, terminals)
+    topo = make_topology(config.topology, config.num_terminals)
+    s = SoAState(topo, config)
     R, P, T, C, V = s.R, s.P, s.T, s.C, s.V
 
     route_tab = np.array(
