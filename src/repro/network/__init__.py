@@ -3,7 +3,6 @@
 from .buffer import InputVC, OutVC, VCState
 from .config import NetworkConfig, RouterConfig, paper_config
 from .flit import Flit, FlitType, Packet
-from .domain import DomainNetwork
 from .interface import NetworkInterface
 from .links import InterChipLink, LinkConfig, LinkIngress, PartitionConfig
 from .network import Network
@@ -11,7 +10,6 @@ from .router import OutputPort, Router
 from .state import export_flow_state, import_flow_state
 
 __all__ = [
-    "DomainNetwork",
     "Flit",
     "export_flow_state",
     "import_flow_state",

@@ -1,8 +1,8 @@
 """Inter-chip links: the channels joining partitioned simulation domains.
 
 When a :class:`~repro.topology.partition.PartitionPlan` cuts a topology
-link, the two router ports it joined end up in different
-:class:`~repro.network.domain.DomainNetwork` instances.  An
+link, the two router ports it joined end up in different domain
+:class:`~repro.network.network.Network` instances.  An
 :class:`InterChipLink` replaces the direct wiring with an explicit
 channel that keeps the credit loop *closed* across the cut:
 

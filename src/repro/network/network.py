@@ -32,11 +32,13 @@ from heapq import heappop, heappush
 from repro.energy.activity import ActivityCounters
 from repro.registry import allocators as _allocators, vc_policies as _vc_policies
 from repro.topology import Topology, make_topology
+from repro.topology.partition import PartitionPlan, grid_partition
 
 from .buffer import VCState
 from .config import NetworkConfig
 from .flit import Flit, Packet
 from .interface import NetworkInterface
+from .links import InterChipLink, LinkIngress
 from .router import OutputPort, Router
 
 _ARRIVAL = 0
@@ -45,9 +47,38 @@ _EJECT = 2
 
 
 class Network:
-    """A complete on-chip network built from a :class:`NetworkConfig`."""
+    """A complete on-chip network built from a :class:`NetworkConfig` — or
+    the slice of one that a partition domain owns.
 
-    def __init__(self, config: NetworkConfig, topology: Topology | None = None) -> None:
+    ``plan`` and ``domain`` pick the slice: only the routers and NIs that
+    domain ``domain`` of the :class:`~repro.topology.partition.PartitionPlan`
+    owns are instantiated.  Unowned ids stay ``None`` holes in the
+    full-length id-indexed lists, so every id-based lookup (routing
+    tables, event targets, upstream wiring) works unchanged; the
+    per-cycle loops iterate the compact ``_live_*`` aliases and never see
+    a hole.  With no plan the network is the 1x1 partition's one domain,
+    which owns everything.
+
+    Cut links are left unwired here.  The partition engine closes each
+    with an :class:`~repro.network.links.InterChipLink` through
+    :meth:`attach_egress` / :meth:`attach_ingress` once the peer domains
+    exist, and the link returns its credits to the port
+    :meth:`egress_port` names.
+    """
+
+    #: Whether the network steps object :class:`Router` instances.  A
+    #: kernel domain (:class:`repro.sim.vec.domain.VecDomain`) holds its
+    #: routers' state as SoA tensors and has no router list at all.
+    object_routers = True
+
+    def __init__(
+        self,
+        config: NetworkConfig,
+        topology: Topology | None = None,
+        *,
+        plan: PartitionPlan | None = None,
+        domain: int = 0,
+    ) -> None:
         self.config = config
         self.topology = topology or make_topology(config.topology, config.num_terminals)
         if self.topology.num_terminals != config.num_terminals:
@@ -55,6 +86,17 @@ class Network:
                 f"topology has {self.topology.num_terminals} terminals, "
                 f"config wants {config.num_terminals}"
             )
+        if plan is None:
+            plan = grid_partition(self.topology, (1, 1))
+        if not 0 <= domain < plan.num_domains:
+            raise ValueError(
+                f"domain {domain} outside plan ({plan.num_domains} domains)"
+            )
+        self.plan = plan
+        #: This domain's index in the plan (also its row-major grid slot).
+        self.domain_index = domain
+        self._owned_routers = frozenset(plan.domain_routers[domain])
+        self._owned_terminals = frozenset(plan.domain_terminals[domain])
         rc = config.router
         radix = self.topology.radix
         # Every engine, kernel domains included, builds through here: one
@@ -63,17 +105,30 @@ class Network:
         # share the policy, which is stateless.
         _allocators.create(rc.allocator, radix, radix, rc.num_vcs, rc.virtual_inputs)
         self.vc_policy = _vc_policies.create(rc.vc_policy)
-        # Builder seams: DomainNetwork overrides these to instantiate only
-        # the routers/NIs its partition domain owns (``None`` holes keep
-        # full-length id-indexed lists, so every id-based lookup works
-        # unchanged).  The monolithic network builds everything.
-        self.interfaces = self._build_interfaces(rc)
+        owned = self._owned_terminals
+        self.interfaces: list[NetworkInterface | None] = [
+            NetworkInterface(
+                t,
+                *self.topology.router_of(t),
+                config=rc,
+                policy=self.vc_policy,
+                topology=self.topology,
+            )
+            if t in owned
+            else None
+            for t in range(self.topology.num_terminals)
+        ]
         #: Compact aliases skipping ``None`` holes — the per-cycle loops
         #: and occupancy scans iterate these, never the full lists.
         self._live_interfaces = [ni for ni in self.interfaces if ni is not None]
-        self.routers = self._build_routers(rc)
-        self._live_routers = [r for r in self.routers if r is not None]
-        self._wire()
+        if self.object_routers:
+            owned = self._owned_routers
+            self.routers: list[Router | None] = [
+                Router(r, rc, self.topology) if r in owned else None
+                for r in range(self.topology.num_routers)
+            ]
+            self._live_routers = [r for r in self.routers if r is not None]
+            self._wire()
         self.counters = ActivityCounters()
         # Flits carried per directed link, held as per-router arrays indexed
         # by output port (a plain list increment in the grant loop instead
@@ -109,37 +164,14 @@ class Network:
         #: ``is not None`` branch.
         self.tracer = None
 
-    def _build_routers(self, rc) -> list[Router | None]:
-        """Instantiate the router list (overridable; id-indexed)."""
-        return [Router(r, rc, self.topology) for r in range(self.topology.num_routers)]
-
-    def _build_interfaces(self, rc) -> list[NetworkInterface | None]:
-        """Instantiate the NI list (overridable; terminal-id-indexed)."""
-        return [
-            NetworkInterface(
-                t,
-                *self.topology.router_of(t),
-                config=rc,
-                policy=self.vc_policy,
-                topology=self.topology,
-            )
-            for t in range(self.topology.num_terminals)
-        ]
-
-    def _wire_link(self, spec) -> None:
-        """Wire one topology link's upstream credit path (overridable)."""
-        src = self.routers[spec.src_router]
-        self.routers[spec.dst_router].upstream[spec.dst_port] = src.outputs[
-            spec.src_port
-        ]
-
     def iter_interfaces(self) -> list[NetworkInterface]:
-        """The instantiated NIs (domain networks skip unowned terminals)."""
+        """The instantiated NIs (a domain skips the terminals it does not own)."""
         return self._live_interfaces
 
     def _wire(self) -> None:
         topo = self.topology
         rc = self.config.router
+        routers = self.routers
         for router in self._live_routers:
             for port in range(topo.radix):
                 if topo.is_local_port(port):
@@ -167,9 +199,39 @@ class Network:
                     owner=router.rid,
                 )
         for spec in topo.links():
-            self._wire_link(spec)
+            src = routers[spec.src_router]
+            dst = routers[spec.dst_router]
+            # A cut link (one endpoint in another domain) stays unwired.
+            if src is not None and dst is not None:
+                dst.upstream[spec.dst_port] = src.outputs[spec.src_port]
         for ni in self._live_interfaces:
-            self.routers[ni.router_id].upstream[ni.local_port] = ni
+            routers[ni.router_id].upstream[ni.local_port] = ni
+
+    # --- boundary wiring ---------------------------------------------------
+
+    def egress_port(self, spec):
+        """Our output port at the source of cut link ``spec``: the sink
+        the link returns its credits to."""
+        out = self.routers[spec.src_router].outputs[spec.src_port]
+        if out is None:
+            raise RuntimeError(
+                f"domain {self.domain_index}: cut link {spec} has no egress port"
+            )
+        return out
+
+    def attach_egress(self, link: InterChipLink) -> None:
+        """Hook a cut link's source side to our boundary output port."""
+        self.egress_port(link.spec).link = link
+
+    def attach_ingress(self, link: InterChipLink) -> None:
+        """Hook a cut link's destination side to our boundary input port.
+
+        The :class:`LinkIngress` proxy takes the upstream slot, so credits
+        freed at this input port travel back across the link instead of
+        being scheduled locally.
+        """
+        spec = link.spec
+        self.routers[spec.dst_router].upstream[spec.dst_port] = LinkIngress(link)
 
     @property
     def link_flits(self) -> dict[tuple[int, int], int]:

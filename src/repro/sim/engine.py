@@ -1,12 +1,13 @@
-"""The monolithic object engine and the one-call entry points.
+"""The monolithic object engines and the one-call entry points.
 
-:class:`Simulation` wires a network, a traffic injector, and a statistics
-collector together; the warmup / measure / drain methodology it runs is
-:class:`repro.sim.runloop.RunLoop`, shared with every other engine.  What
-lives here is what is specific to stepping one object
-:class:`~repro.network.network.Network`: the constructor wiring, one
-cycle (``_step``), the quiescence test behind fast-forwarding
-(``_maybe_skip``) and the counters snapshot.
+:class:`Simulation` is the ``gated`` (and, without activity gating, the
+``dense``) engine: a :class:`~repro.sim.partition.PartitionedSimulation`
+over one domain that owns the whole topology, stepped by object routers —
+the 1x1 partition with a fixed domain engine, as
+:class:`~repro.sim.vec.engine.VectorizedSimulation` is on the SoA kernel.
+Wiring, stepping, idle skip, counters and flow-state export are the
+partition driver's; the warmup / measure / drain methodology is
+:class:`repro.sim.runloop.RunLoop`'s, shared with every other engine.
 
 :func:`run_simulation` resolves an engine by name (see
 :mod:`repro.sim.engines`), builds it and runs it.
@@ -17,96 +18,28 @@ from __future__ import annotations
 import math
 
 from repro.network.config import NetworkConfig
-from repro.network.network import Network
-from repro.obs import Observability, ObservabilityConfig
-from repro.sim.runloop import RunLoop, SimulationResult
-from repro.sim.stats import StatsCollector
-from repro.traffic.injector import TrafficInjector
-from repro.traffic.patterns import TrafficPattern, make_pattern
+from repro.network.links import PartitionConfig
+from repro.obs import ObservabilityConfig
+from repro.sim.partition.engine import PartitionedSimulation
+from repro.sim.runloop import SimulationResult
+from repro.traffic.patterns import TrafficPattern
+
+#: One domain owning everything, stepped by object routers: activity-gated,
+#: or visiting every router and NI every cycle.
+_GATED = PartitionConfig(dims=(1, 1), domain_engine="gated")
+_DENSE = PartitionConfig(dims=(1, 1), domain_engine="dense")
 
 
-class Simulation(RunLoop):
-    """One network + injector + stats run."""
+class Simulation(PartitionedSimulation):
+    """One network + injector + stats run on object routers."""
 
     def __init__(
-        self,
-        config: NetworkConfig,
-        *,
-        pattern: TrafficPattern | str = "uniform",
-        injection_rate: float = 0.1,
-        packet_length: int | None = None,
-        seed: int = 1,
-        burst_length: float = 1.0,
-        activity_gating: bool = True,
-        obs: ObservabilityConfig | None = None,
+        self, config: NetworkConfig, *, activity_gating: bool = True, **sim_kwargs
     ) -> None:
-        self.config = config
-        self.network = Network(config)
-        self.network.gating = activity_gating
-        # Observability resolves from the environment unless given
-        # explicitly; the disabled default attaches nothing at all.
-        self.obs_config = obs if obs is not None else ObservabilityConfig.from_env()
-        self._obs: Observability | None = None
-        if self.obs_config.enabled:
-            self._obs = Observability(self.obs_config)
-            self._obs.attach(self.network)
-        self._seed = seed
-        if isinstance(pattern, str):
-            pattern = make_pattern(pattern, config.num_terminals)
-        self.pattern = pattern
-        self.injector = TrafficInjector(
-            self.network,
-            pattern,
-            injection_rate,
-            packet_length=packet_length,
-            seed=seed,
-            burst_length=burst_length,
-        )
-        self.stats = StatsCollector(config.num_terminals)
-        self.network.stats = self.stats
-        self.injector.stats = self.stats
-
-    @property
-    def cycle(self) -> int:
-        return self.network.cycle
-
-    def _step(self) -> None:
-        self.injector.tick(self.network.cycle)
-        self.network.step()
-
-    def flow_state(self) -> dict:
-        """Flow-control snapshot (see :mod:`repro.network.state`).
-
-        Same schema as ``VectorizedSimulation.flow_state()``; byte-equal
-        dicts after identical runs are the engines' no-drift contract.
-        """
-        from repro.network.state import export_flow_state
-
-        return export_flow_state(self.network)
-
-    def _maybe_skip(self, budget: int) -> int:
-        """Fast-forward up to ``budget`` quiescent cycles; returns how many.
-
-        Safe exactly when nothing can happen before the jump target: the
-        network has no active router or NI (so no allocation, injection
-        channel, or ejection work), and the injector's next possible
-        injection and the event wheel's next delivery both lie at or beyond
-        it.  Skipped cycles still count toward ``counters.cycles``.
-        """
-        network = self.network
-        if not network.gating or network.has_active_work():
-            return 0
-        now = network.cycle
-        if self.injector.next_active_cycle(now) is not None:
-            return 0
-        wake = network.next_event_time()
-        # Nothing scheduled at all: the remaining budget is all idle.
-        target = now + budget if wake is None else min(wake, now + budget)
-        network.skip_to(target)
-        return target - now
-
-    def _final_counters(self) -> dict:
-        return self.network.counters.snapshot()
+        """``sim_kwargs`` are :class:`PartitionedSimulation`'s, minus
+        ``partition``; ``activity_gating=False`` picks the dense loop."""
+        partition = _GATED if activity_gating else _DENSE
+        super().__init__(config, partition=partition, **sim_kwargs)
 
 
 def run_simulation(

@@ -3,14 +3,18 @@
 The engines share one semantic contract — byte-identical
 :class:`~repro.sim.engine.SimulationResult` values for the same
 configuration and seed — and differ only in how the per-cycle work is
-executed:
+executed.  All of them are one driver,
+:class:`~repro.sim.partition.PartitionedSimulation`; the monolithic ones
+are its 1x1 partition with the domain engine fixed:
 
 * ``dense`` — object stepping visiting every router and NI every cycle
   (the original reference loop; equivalence/benchmark baseline);
 * ``gated`` — object stepping visiting only active components (fastest
   at low load, ~parity with dense at saturation; what the ``vectorized``
   factory builds for low-load or metrics/trace requests, and the fallback
-  for everything the kernel cannot express);
+  for everything the kernel cannot express).  Both are
+  :class:`~repro.sim.engine.Simulation`, the 1x1 partition on one object
+  :class:`~repro.network.network.Network`;
 * ``vectorized`` — a struct-of-arrays numpy kernel batching VC and switch
   allocation across every router per cycle (:mod:`repro.sim.vec`); wins at
   and past saturation.  Only schemes whose grant semantics have an array
@@ -19,11 +23,11 @@ executed:
   dateline VC masking); anything else fails loudly through
   :func:`repro.sim.vec.require_vectorizable`;
 * ``partitioned`` — chiplet-partitioned domain stepping
-  (:mod:`repro.sim.partition`): the topology is cut into a grid of
-  :class:`~repro.network.domain.DomainNetwork` instances joined by
-  inter-chip links, stepped round-robin or in worker processes.  A
-  ``1x1`` partition with zero-latency links is byte-identical to
-  ``dense``/``gated``; larger grids model multi-chip fabrics.
+  (:mod:`repro.sim.partition`): the topology is cut into a grid of domain
+  :class:`~repro.network.network.Network` slices (or SoA-kernel domains)
+  joined by inter-chip links, stepped round-robin or in worker processes.
+  A ``1x1`` partition is the monolithic engine its domain engine names;
+  larger grids model multi-chip fabrics.
 
 The registry keeps this a normal scheme axis: ``--engine`` on the CLI,
 ``engine=`` on :func:`~repro.sim.engine.run_simulation`,
@@ -135,7 +139,8 @@ engine_registry.register(
     _object_engine(False),
     aliases=("object",),
     label="dense object stepping",
-    provenance="reference loop; every router and NI visited every cycle",
+    provenance="reference loop; every router and NI visited every cycle "
+    "(the 1x1 partition on dense object domains)",
     flags=(OBJECT_STEPPING,),
 )
 engine_registry.register(
@@ -143,9 +148,10 @@ engine_registry.register(
     _object_engine(True),
     aliases=("fast",),
     label="activity-gated object stepping",
-    provenance="byte-identical to dense, skips idle components; the "
-    "default where the SoA kernel cannot run (packet chaining, sparoflo, "
-    "torus, no numpy), and its low-load delegate",
+    provenance="byte-identical to dense, skips idle components (the 1x1 "
+    "partition on gated object domains); the default where the SoA kernel "
+    "cannot run (packet chaining, sparoflo, torus, no numpy), and its "
+    "low-load delegate",
     flags=(OBJECT_STEPPING, ACTIVITY_GATED),
 )
 engine_registry.register(
@@ -153,8 +159,8 @@ engine_registry.register(
     _partitioned_engine,
     aliases=("chiplet", "domains"),
     label="chiplet-partitioned domain stepping",
-    provenance="grid of DomainNetworks joined by inter-chip links; "
-    "1x1 partition byte-identical to dense/gated",
+    provenance="grid of domain networks joined by inter-chip links; "
+    "the one driver every engine is a 1x1 partition of",
     flags=(OBJECT_STEPPING, DOMAIN_PARTITIONED),
 )
 engine_registry.register(

@@ -1,14 +1,14 @@
 """Chiplet-partitioned simulation: domains, inter-chip links, quiescence.
 
 The ``partitioned`` engine (registered in :mod:`repro.sim.engines`) cuts
-the configured topology into a grid of
-:class:`~repro.network.domain.DomainNetwork` chiplet domains joined by
+the configured topology into a grid of chiplet domains (each a
+:class:`~repro.network.network.Network` slice) joined by
 :class:`~repro.network.links.InterChipLink` channels, then steps the
 domains in lockstep — serial round-robin in-process, or in parallel
 worker processes synchronized at conservative epoch barriers
 (:mod:`repro.sim.partition.workers`).  Results are independent of the
-execution mode, and a ``1x1`` partition with zero-latency links is
-byte-identical to the monolithic engines (CI-enforced).
+execution mode.  Every engine is this driver: the monolithic ones are its
+``1x1`` partition with a fixed domain engine.
 
 :mod:`repro.sim.partition.invariants` holds the flit-conservation and
 credit-accounting checks that fence multi-domain correctness.

@@ -11,7 +11,9 @@
 :class:`RunLoop` owns the methodology — argument validation, the default
 drain budget, the phase spans, the measurement window, the drain rule and
 the result assembly — so every engine applies the identical window and
-drain rule by construction.  An engine supplies ``cycle``, ``_step()``
+drain rule by construction.  Its one subclass,
+:class:`~repro.sim.partition.PartitionedSimulation` (every engine is a
+partition of it), supplies ``cycle``, ``_step()``
 (exactly one cycle), ``_maybe_skip(budget)`` (fast-forward up to ``budget``
 quiescent cycles, returning how many; 0 when anything can happen now) and
 ``_final_counters()``, plus the attributes the assembly reads: ``config``,

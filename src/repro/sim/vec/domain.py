@@ -15,7 +15,7 @@ shared ring slot (:meth:`VecDomain.step`), then ``deliver`` →
 (:meth:`VecFabric.step`)".  The size-independent numpy dispatch of a
 kernel cycle is paid once per fabric, not once per domain.
 
-:class:`VecDomain` subclasses :class:`~repro.network.domain.DomainNetwork`
+:class:`VecDomain` subclasses :class:`~repro.network.network.Network`
 and keeps everything that gives a domain its identity — plan
 bookkeeping, object NIs for its injector slice, its own event wheel and
 clock, its ``InterChipLink`` endpoints — so the partition engine drives
@@ -24,8 +24,8 @@ it through the same SimDomain contract object domains satisfy
 ``export_flow_state()``) and serial round-robin, worker forks (a worker
 inherits the whole fabric and steps only its block of domains; the other
 domains' rows stay inert in its copy), epoch barriers, and the invariant
-checker all work unchanged.  Its router list is all holes; its
-introspection answers are the owned rows of the shared tensors.
+checker all work unchanged.  It has no router list; its introspection
+answers are the owned rows of the shared tensors.
 
 Boundary traffic meets the array world in two places:
 
@@ -59,9 +59,8 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.energy.activity import ActivityCounters
-from repro.network.domain import DomainNetwork
 from repro.network.links import InterChipLink
-from repro.network.network import _ARRIVAL, _CREDIT
+from repro.network.network import _ARRIVAL, _CREDIT, Network
 
 from .state import SoAState
 from .stepping import VecStepper
@@ -115,7 +114,7 @@ class VecFabric:
         self.pk_index: dict[int, int] = {}
         # Domains first: building them validates the config (see Network).
         self.domains = [
-            VecDomain(config, plan, d, topology, fabric=net)
+            VecDomain(config, topology, plan=plan, domain=d, fabric=net)
             for d in range(plan.num_domains)
         ]
         self.s = SoAState(topology, config)
@@ -134,14 +133,17 @@ class VecFabric:
             timer.add("kernel", perf_counter() - start)
 
 
-class VecDomain(DomainNetwork):
+class VecDomain(Network):
     """One chiplet domain's slice of a :class:`VecFabric`."""
 
+    # No object routers: the SoA tables are the routers and the wiring.
+    object_routers = False
+
     def __init__(
-        self, config, plan, domain: int, topology, *, fabric: VecFabric
+        self, config, topology, *, plan, domain: int, fabric: VecFabric
     ) -> None:
         self.fabric = fabric
-        super().__init__(config, plan, domain, topology)
+        super().__init__(config, topology, plan=plan, domain=domain)
         self._router_ids = np.array(sorted(self._owned_routers), dtype=np.int64)
         self._terminal_ids = np.array(sorted(self._owned_terminals), dtype=np.int64)
         # Network.inject activates NIs by terminal id: one set for the
@@ -170,14 +172,6 @@ class VecDomain(DomainNetwork):
     @stats.setter
     def stats(self, collector) -> None:
         self.fabric.stats = collector
-
-    # --- no object routers: the SoA tables are the routers and the wiring --
-
-    def _build_routers(self, rc) -> list:
-        return [None] * self.topology.num_routers
-
-    def _wire(self) -> None:
-        pass
 
     # --- boundary wiring ---------------------------------------------------
 
@@ -272,7 +266,7 @@ class VecDomain(DomainNetwork):
 
     def next_event_time(self) -> int | None:
         ring = self._stepper.next_event_time(self.cycle)
-        wheel = DomainNetwork.next_event_time(self)
+        wheel = super().next_event_time()
         if ring is None:
             return wheel
         if wheel is None:
@@ -330,7 +324,7 @@ class VecDomain(DomainNetwork):
         queued = sum(
             p.num_flits for ni in self._live_interfaces for p in ni.queue
         )
-        wheel_arrivals, _ = DomainNetwork.pending_event_index(self)
+        wheel_arrivals, _ = super().pending_event_index()
         ring_arrivals, _, ejections = self._stepper.pending_ring_index()
         routers, terminals = self._owned_routers, self._owned_terminals
         return (
@@ -352,7 +346,7 @@ class VecDomain(DomainNetwork):
         return int(self.s.occ[rid, port, vc])
 
     def pending_event_index(self) -> tuple[dict, dict]:
-        arrivals, credits = DomainNetwork.pending_event_index(self)
+        arrivals, credits = super().pending_event_index()
         ring_arr, ring_cred, _ = self._stepper.pending_ring_index()
         routers, terminals = self._owned_routers, self._owned_terminals
         for key, count in ring_arr.items():

@@ -365,7 +365,7 @@ class SoAState:
 
         ``owned_routers`` / ``owned_terminals`` restrict the snapshot to a
         partition domain's slice: unowned ids emit ``None`` rows, matching
-        the object :class:`~repro.network.domain.DomainNetwork`'s holes.
+        an object domain :class:`~repro.network.network.Network`'s holes.
         """
         from repro.network.state import FLOW_STATE_VERSION
 

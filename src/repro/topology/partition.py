@@ -3,8 +3,8 @@
 A :class:`PartitionPlan` is the pure-data answer to "which router lives
 on which chiplet": a router→domain assignment, the induced terminal
 assignment, and the list of *cut links* — directed topology links whose
-endpoints fall in different domains.  Everything downstream (the
-:class:`~repro.network.domain.DomainNetwork` builders, the
+endpoints fall in different domains.  Everything downstream (the domain
+:class:`~repro.network.network.Network` builders, the
 :class:`~repro.network.links.InterChipLink` construction, the invariant
 checkers) consumes the plan; nothing re-derives the cut.
 

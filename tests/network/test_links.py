@@ -8,7 +8,6 @@ import pytest
 
 from repro.network import network as network_module
 from repro.network.config import NetworkConfig
-from repro.network.domain import DomainNetwork
 from repro.network.links import (
     InterChipLink,
     LinkConfig,
@@ -17,6 +16,7 @@ from repro.network.links import (
 )
 from repro.network.links import _ARRIVAL as LINK_ARRIVAL
 from repro.network.links import _CREDIT as LINK_CREDIT
+from repro.network.network import Network
 from repro.registry import links as link_registry
 from repro.topology import make_topology
 from repro.topology.partition import grid_partition
@@ -71,7 +71,7 @@ def _linked_pair(link_config: LinkConfig):
     config = NetworkConfig(topology="mesh", num_terminals=16)
     topo = make_topology("mesh", 16)
     plan = grid_partition(topo, (2, 1))
-    domains = [DomainNetwork(config, plan, d, topo) for d in range(2)]
+    domains = [Network(config, topo, plan=plan, domain=d) for d in range(2)]
     spec = next(s for s in plan.cut_links if plan.router_domain[s.src_router] == 0)
     link = InterChipLink(
         0, spec, link_config, src_net=domains[0], dst_net=domains[1]
@@ -82,6 +82,18 @@ def _linked_pair(link_config: LinkConfig):
 
 
 class TestInterChipLink:
+    def test_domain_outside_the_plan_is_rejected(self):
+        config = NetworkConfig(topology="mesh", num_terminals=16)
+        topo = make_topology("mesh", 16)
+        plan = grid_partition(topo, (2, 1))
+        with pytest.raises(ValueError, match=r"domain 2 outside plan \(2 domains\)"):
+            Network(config, topo, plan=plan, domain=plan.num_domains)
+
+    def test_no_plan_is_the_one_domain_owning_everything(self):
+        net = Network(NetworkConfig(topology="mesh", num_terminals=16))
+        assert net.plan.num_domains == 1 and net.plan.cut_links == ()
+        assert None not in net.routers and None not in net.interfaces
+
     def test_wiring_installs_port_link_and_ingress(self):
         domains, spec, link = _linked_pair(LinkConfig())
         out = domains[0].routers[spec.src_router].outputs[spec.src_port]

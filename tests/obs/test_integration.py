@@ -70,9 +70,10 @@ class TestResultIdentity:
 
         sim = Simulation(mesh_config())
         assert sim._obs is None
-        assert sim.network.tracer is None
-        assert all(r.allocator.probe is None for r in sim.network.routers)
-        assert all(r._alloc_fast is not None for r in sim.network.routers)
+        network = sim.domains[0]
+        assert network.tracer is None
+        assert all(r.allocator.probe is None for r in network.routers)
+        assert all(r._alloc_fast is not None for r in network.routers)
 
     def test_gated_and_dense_telemetry_identical(self):
         gated = run(mesh_config(), obs=METRICS, activity_gating=True)

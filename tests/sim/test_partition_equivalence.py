@@ -97,7 +97,7 @@ class Test1x1Monolithic:
         part.run(warmup=50, measure=150, drain_limit=0)
         from repro.network.state import export_flow_state
 
-        assert part.flow_state() == export_flow_state(mono.network)
+        assert part.flow_state() == export_flow_state(mono.domains[0])
 
     def test_1x1_counters_carry_no_partition_keys(self):
         cfg = _config()
@@ -427,7 +427,7 @@ class TestVectorizedDomains:
     def test_unnamed_domain_engine_is_worked_out(self, monkeypatch):
         """No engine named: the kernel where it can run and pays, gated
         domains elsewhere — the predicate the ``vectorized`` factory uses."""
-        from repro.network.domain import DomainNetwork
+        from repro.network.network import Network
         from repro.obs import ObservabilityConfig
         from repro.sim.vec.domain import VecDomain
 
@@ -446,10 +446,10 @@ class TestVectorizedDomains:
 
         assert domain_type() is VecDomain
         assert domain_type(obs=ObservabilityConfig(profile=True)) is VecDomain
-        assert domain_type(obs=ObservabilityConfig(metrics=True)) is DomainNetwork
-        assert domain_type(obs=ObservabilityConfig(trace=True)) is DomainNetwork
-        assert domain_type("packet_chaining") is DomainNetwork
-        assert domain_type(rate=0.001) is DomainNetwork  # under the threshold
+        assert domain_type(obs=ObservabilityConfig(metrics=True)) is Network
+        assert domain_type(obs=ObservabilityConfig(trace=True)) is Network
+        assert domain_type("packet_chaining") is Network
+        assert domain_type(rate=0.001) is Network  # under the threshold
         assert PartitionConfig.from_env().domain_engine is None
         assert _partition((2, 2)).spec()["domain_engine"] is None
 

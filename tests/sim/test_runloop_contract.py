@@ -15,6 +15,7 @@ from repro.network.config import NetworkConfig, RouterConfig
 from repro.network.links import PartitionConfig
 from repro.obs import ObservabilityConfig
 from repro.sim.engines import make_engine
+from repro.sim.partition import PartitionedSimulation
 from repro.sim.runloop import RunLoop
 
 pytest.importorskip("numpy")
@@ -67,6 +68,10 @@ class TestEveryEngine:
         sim = build(name)
         assert type(sim).run is RunLoop.run
         assert type(sim)._advance is RunLoop._advance
+        # The engine half of the loop is the partition driver's, too: every
+        # engine is a partition of it, none steps through its own copy.
+        for hook in ("_step", "_maybe_skip", "_final_counters", "flow_state"):
+            assert getattr(type(sim), hook) is getattr(PartitionedSimulation, hook)
 
     @pytest.mark.parametrize("window", [dict(warmup=-1, measure=10),
                                         dict(warmup=10, measure=0)])
@@ -99,8 +104,7 @@ class TestEveryEngine:
         for attr in ("config", "obs_config", "pattern", "stats", "injector", "cycle"):
             assert hasattr(sim, attr), attr
         assert sim.injector.rate == ENGINES[name][1]
-        networks = [sim.network] if hasattr(sim, "network") else sim.domains
-        assert all(net.config is CFG for net in networks)
+        assert all(net.config is CFG for net in sim.domains)
         result = sim.run(warmup=10, measure=30, drain_limit=50)
         assert sim.flow_state()["cycle"] == sim.cycle
         if name == "partitioned-2x2-unnamed":
@@ -126,6 +130,6 @@ def test_low_load_vectorized_request_is_a_whole_gated_engine():
     from repro.sim.engine import Simulation
 
     sim = build("vectorized-low-load")
-    assert type(sim) is Simulation and sim.network.gating
+    assert type(sim) is Simulation and sim.domains[0].gating
     result = sim.run(warmup=20, measure=60, drain_limit=100)
     assert "vec_kernel_cycles" not in result.counters

@@ -176,12 +176,12 @@ class TestFlowStateDriftGuard:
             state = sim.flow_state()
             json.dumps(state)  # plain data, serializable as-is
             fresh = Simulation(cfg, injection_rate=0.5, seed=2)
-            power_on = export_flow_state(fresh.network)
+            power_on = export_flow_state(fresh.domains[0])
             assert [r["sa_pointers"] for r in power_on["routers"]] != [
                 r["sa_pointers"] for r in state["routers"]
             ], scheme[0]
-            import_flow_state(fresh.network, state)
-            assert export_flow_state(fresh.network) == state, scheme[0]
+            import_flow_state(fresh.domains[0], state)
+            assert export_flow_state(fresh.domains[0]) == state, scheme[0]
 
     def test_import_rejects_mismatched_shape(self):
         from repro.network.state import import_flow_state
@@ -191,7 +191,7 @@ class TestFlowStateDriftGuard:
                                    num_terminals=4))
         big = Simulation(_config("input_first", "max_credit", 1))
         with pytest.raises(ValueError, match="routers"):
-            import_flow_state(big.network, small.flow_state())
+            import_flow_state(big.domains[0], small.flow_state())
 
 
 class TestCapabilityGating:
@@ -258,7 +258,7 @@ class TestDelegation:
         monkeypatch.delenv("REPRO_VEC_MIN_FLITS", raising=False)
         cfg = _config("input_first", "max_credit", 1)
         sim = make_engine("vectorized", cfg, injection_rate=0.01, seed=1)
-        assert type(sim) is Simulation and sim.network.gating
+        assert type(sim) is Simulation and sim.domains[0].gating
         result = sim.run(**WINDOWS)
         assert "vec_kernel_cycles" not in result.counters
         dense = run_simulation(cfg, engine="dense", injection_rate=0.01,
