@@ -7,7 +7,8 @@ wall-clock ``[perf_counters]`` footer is stripped:
 
 * ``engines`` -- no engine named (the SoA kernel wherever it can run,
   gated elsewhere) == the ``REPRO_ENGINE=dense`` reference loop; f9 also
-  with numpy unimportable, where every job must run on ``gated``;
+  with numpy unimportable, where every job must run on ``gated``; topo
+  puts cmesh (four terminals per router) and fbfly on the kernel;
 * ``partition`` -- a 1x1 zero-latency partition on gated domains == the
   monolithic dense engine; f12 on the dense engine == the vectorized
   engine == 1x1 vectorized domains == 1x1 domains with no engine named
@@ -275,6 +276,7 @@ ROWS = (
     ("engines", "f8", "dense", "default"),
     ("engines", "f9", "dense", "default", "no-numpy"),
     ("engines", "t1", "dense", "default"),
+    ("engines", "topo", "dense", "default"),
     ("partition", "f8", "dense", "1x1-gated"),
     ("partition", "t1", "dense", "1x1-gated"),
     ("partition", "f12", "dense", "vectorized", "1x1-vectorized", "1x1-unnamed"),

@@ -98,8 +98,8 @@ class VecFabric:
         self.topology = topology
         # The stepper and the domains point back at the fabric weakly.  The
         # domains sit in reference cycles (links, NIs), and a strong
-        # back-pointer would keep the static tables (R*P*T wide; la_tab
-        # alone is 256 MiB at 32x32) alive after the engine is dropped,
+        # back-pointer would keep the SoA state (its route table alone is
+        # R*T bytes, 64 MiB at 64x64) alive after the engine is dropped,
         # until the cycle collector's next full pass.
         net = weakref.proxy(self)
         self.counters = ActivityCounters()
@@ -109,8 +109,11 @@ class VecFabric:
         self.interfaces: list = [None] * topology.num_terminals
         self._active_nis: set[int] = set()
         self._in_flight_flits = 0
-        # Packets that crossed a link, by pid: each is interned at most
-        # once more however many cuts it crosses.
+        # Slot of each packet on or past a cut link, by pid.  The sending
+        # stepper records it and the receiving domain reads it back, so a
+        # packet keeps one slot for life however many cuts it crosses; the
+        # tail's ejection removes the entry.  (A flit ferried from another
+        # worker process is interned here once, on its first arrival.)
         self.pk_index: dict[int, int] = {}
         # Domains first: building them validates the config (see Network).
         self.domains = [

@@ -133,7 +133,7 @@ def va_kernel(s: SoAState) -> int:
     rolled offset (see module docstring); only the per-round VC choice
     iterates, over the pairs still granting in that round.
     """
-    PV, P, V, T = s.PV, s.P, s.V, s.T
+    PV, P, V = s.PV, s.P, s.V
     fi = np.flatnonzero(s.st1 == VA_WAIT)
     if fi.size == 0:
         return 0
@@ -189,7 +189,8 @@ def va_kernel(s: SoAState) -> int:
             # where grants chase individual credit releases.
             choice = cand.argmax(-1)
         elif s.policy_vix:
-            direction = s.la1[gp * T + s.dst1[gfi]]
+            # Lookahead: the downstream router's class toward dst's router.
+            direction = s.hop_cls1[s.la_row[gp] + s.dst1[gfi]]
             choice = select_vix_dimension(s, cand, s.ocred1[cols], direction)
         else:
             choice = select_max_credit(cand, s.ocred1[cols])

@@ -12,7 +12,7 @@ array                 shape      object-engine equivalent
 ``occ``               (R, P, V)  ``len(InputVC.queue)``
 ``hseq``              (R, P, V)  seq number of the head-of-line flit
 ``pkt``               (R, P, V)  interned index of the packet owning the VC
-``dst``               (R, P, V)  destination terminal of that packet
+``dst``               (R, P, V)  destination router of that packet
 ``outp`` / ``outv``   (R, P, V)  ``InputVC.out_port`` / ``InputVC.out_vc``
 ``ocred``             (R, P, V)  ``OutputPort.out_vcs[v].credits``
 ``oalloc``            (R, P, V)  ``OutputPort.out_vcs[v].allocated``
@@ -30,7 +30,20 @@ depends on the scheme (separable phase-1/phase-2 pointers, or the
 port-level matchers' per-port VC pointers plus wavefront's priority
 diagonal).  Static topology facts
 (routing, lookahead, link endpoints) are precomputed once into lookup
-tables so the per-cycle kernels are pure array arithmetic.
+tables so the per-cycle kernels are pure array arithmetic.  Terminal
+``t`` sits at ``divmod(t, C)`` and DOR depends on ``t`` only through its
+router and its local port, so the routing tables are indexed by
+destination *router* ``d = t // C`` wherever the local port is not needed:
+
+====================  ==============  ========================================
+table                 shape, dtype    read as
+====================  ==============  ========================================
+``route_tab``         (R, T) uint8    ``Topology.route(r, t)``, at head arrival
+``hop_cls``           (R, R) int8     class of the port r takes toward router d
+``la_row``            (R * P,) int64  lookahead: ``hop_cls1[la_row[rp] + d]``
+``ni_row``            (T,) int64      NI first hop: ``hop_cls1[ni_row[t] + d]``
+``vix_bonus``         (D + 2, V)      one row per direction class (-1 .. D)
+====================  ==============  ========================================
 
 A partitioned fabric builds **one** ``SoAState`` over the *full*
 topology shape, shared by all of its sibling
@@ -78,14 +91,21 @@ class SoAState:
         self.depth = rc.buffer_depth
 
         # --- static topology tables ------------------------------------------
-        # Output port toward each destination terminal: the rows of the
-        # topology's route table, as the routers hold them.
+        # Indexed by destination *router*, not terminal: terminal t sits at
+        # divmod(t, C), and DOR depends on t only through its router and its
+        # local port (Topology.route_table).  Narrow dtypes throughout.
         table = topo.route_table()
-        self.route_tab = (
-            np.frombuffer(b"".join(map(table.terminal_row, range(R))), dtype=np.uint8)
-            .reshape(R, T)
-            .astype(np.int64)
-        )
+        # next_port[r, d]: the output port router r takes toward router d
+        # (the diagonal is never a route: there the local port applies).
+        next_port = np.frombuffer(
+            b"".join(table.next_port), dtype=np.uint8
+        ).reshape(R, R)
+        # Output port toward each destination terminal, read once per head
+        # arrival: next_port[r, t // C], and t's local port t % C at t's own
+        # router -- Topology.route(r, t), as the object routers hold it.
+        self.route_tab = np.repeat(next_port, C, axis=1)
+        own = np.arange(T)
+        self.route_tab[own // C, own] = own % C
         # Direction class per port; -1 stands in for local ports, i.e.
         # "ejects downstream" (the policy's downstream_direction=None).
         cls_arr = np.array(
@@ -93,10 +113,14 @@ class SoAState:
                 -1 if topo.is_local_port(p) else topo.port_direction_class(p)
                 for p in range(P)
             ],
-            dtype=np.int64,
+            dtype=np.int8,
         )
-        # hop_cls[r, t]: direction class of the port router r takes toward t.
-        hop_cls = cls_arr[self.route_tab]
+        # hop_cls[r, d]: direction class of the port router r takes toward
+        # router d; -1 on the diagonal, where the packet ejects.  Its rows
+        # serve both the NI's first hop (the source router's row) and VA's
+        # lookahead (the downstream router's row).
+        self.hop_cls = cls_arr[next_port]
+        np.fill_diagonal(self.hop_cls, -1)
         # Link endpoint tables.  down_* follow an output port to the
         # downstream (router, input port); up_* follow an input port back to
         # the upstream output port.  -1 marks dead edges / local ports (an
@@ -114,12 +138,12 @@ class SoAState:
             self.up_p[spec.dst_router, spec.dst_port] = spec.src_port
         # Terminal attached to each local port (Topology.terminal_of).
         self.term_tab = np.arange(T, dtype=np.int64).reshape(R, C)
-        # Lookahead table: Topology.lookahead_direction(r, p, t) with None
-        # encoded as -1, i.e. the downstream router's hop_cls row.  Only
-        # consulted for VA winners, whose out ports are always wired and
-        # non-local; local and dead-edge ports hold -1.
-        self.la_tab = hop_cls[np.maximum(self.down_r, 0)]
-        self.la_tab[self.down_r < 0] = -1
+        # Lookahead, Topology.lookahead_direction(r, p, t) with None as -1,
+        # is the downstream router's hop_cls entry toward t's router:
+        # hop_cls1[la_row[r * P + p] + t // C].  Only consulted for VA
+        # winners, whose out ports are always wired and non-local; local and
+        # dead-edge entries hold 0 and are never read.
+        self.la_row = np.maximum(self.down_r, 0).reshape(-1) * R
 
         # --- allocation-scheme shape -----------------------------------------
         allocator = allocators.canonical(rc.allocator)
@@ -205,7 +229,7 @@ class SoAState:
             self.roll_p2_1 = self.roll_p2.reshape(-1)
         self.roll_va1 = self.roll_va.reshape(-1)
         self.route1 = self.route_tab.reshape(-1)
-        self.la1 = self.la_tab.reshape(-1)
+        self.hop_cls1 = self.hop_cls.reshape(-1)
         self.term1 = self.term_tab.reshape(-1)
         # Flat flit-arrival index of the VC fed by output port (r, p):
         # (down_r * P + down_p) * V, ready to add the VC id; -1 where unwired.
@@ -230,9 +254,10 @@ class SoAState:
         self._arNk = self._arN * self.k_pol
         self._arNV = self._arN * V
         # dirmap[d + 1] = max(d, 0) % k_pol for the policy's preferred-group
-        # lookup (direction classes are bounded by the topology's dimensions,
-        # well under T; -1 means "ejects downstream").
-        self.dirmap = np.maximum(np.arange(-1, T + 1), 0) % self.k_pol
+        # lookup, one row per direction class the topology has (-1 means
+        # "ejects downstream").
+        classes = np.arange(-1, int(cls_arr.max()) + 1)
+        self.dirmap = np.maximum(classes, 0) % self.k_pol
         # Fused vix_dimension sort key (see kernels.select_vix_dimension):
         # lexicographic (forced-group, group score, -group id, local value)
         # packed into one int64 per VC.  m1 exceeds any per-VC value
@@ -252,9 +277,10 @@ class SoAState:
         term_router, term_port = np.divmod(np.arange(T, dtype=np.int64), C)
         # Flat flit-arrival base of each terminal's injection channel.
         self.ni_fi1 = (term_router * P + term_port) * V
-        # First-hop direction class per (source terminal, destination):
-        # port_direction_class(route(router, dst)), None encoded as -1.
-        self.ni_dir1 = hop_cls[term_router].reshape(-1)
+        # First-hop direction class of a packet from terminal t to router d,
+        # port_direction_class(route(router_of(t), d)) with None as -1:
+        # hop_cls1[ni_row[t] + d], the source router's hop_cls row.
+        self.ni_row = term_router * R
 
     def _build_dynamic(self, rc) -> None:
         """Per-run mutable state at power-on values."""
@@ -348,6 +374,7 @@ class SoAState:
         self.packets: list = []
         cap = 4096
         self.pk_dst = np.zeros(cap, dtype=np.int64)
+        self.pk_dr = np.zeros(cap, dtype=np.int64)  # destination router
         self.pk_last = np.zeros(cap, dtype=np.int64)
 
     def export_flow_state(
@@ -435,8 +462,10 @@ class SoAState:
         idx = len(self.packets)
         if idx == self.pk_dst.size:
             self.pk_dst = np.concatenate([self.pk_dst, np.zeros_like(self.pk_dst)])
+            self.pk_dr = np.concatenate([self.pk_dr, np.zeros_like(self.pk_dr)])
             self.pk_last = np.concatenate([self.pk_last, np.zeros_like(self.pk_last)])
         self.packets.append(packet)
         self.pk_dst[idx] = packet.dst
+        self.pk_dr[idx] = packet.dst // self.C
         self.pk_last[idx] = packet.num_flits - 1
         return idx

@@ -214,10 +214,9 @@ class VecStepper:
             if heads.any():
                 hfi = fi[heads]
                 hpk = pk[heads]
-                hd = s.pk_dst[hpk]
-                out = s.route1[(hfi // s.PV) * s.T + hd]
+                out = s.route1[(hfi // s.PV) * s.T + s.pk_dst[hpk]]
                 s.pkt1[hfi] = hpk
-                s.dst1[hfi] = hd
+                s.dst1[hfi] = s.pk_dr[hpk]
                 s.outp1[hfi] = out
                 eject = out < s.C
                 s.st1[hfi] = np.where(eject, ACTIVE, VA_WAIT)
@@ -234,6 +233,7 @@ class VecStepper:
         by_creation = stats.window_by_creation
         ws, we = stats.window_start, stats.window_end
         ejected = self.ejected
+        pk_index = self.net.pk_index
         for terms, pks, tails in slot["ej"]:
             n = len(terms)
             # One grant per ejection port per cycle: terminals are
@@ -255,7 +255,11 @@ class VecStepper:
             latencies = stats.latencies
             # The tail's ejection is the last read of an interned packet
             # (boundary flits are rebuilt before they eject), so its slot
-            # is released here rather than kept for the life of the run.
+            # is released here rather than kept for the life of the run,
+            # and so is its cut-link entry, if it crossed a cut.
+            if pk_index:
+                for pki in tpk:
+                    pk_index.pop(packets[pki].pid, None)
             if by_creation:
                 # WindowStats: measured-ness keyed by created_cycle (a
                 # packet may be created in another worker's domain).
@@ -332,7 +336,7 @@ class VecStepper:
                 if (cand.sum(-1) == 1).all():
                     choice = cand.argmax(-1)
                 elif s.policy_vix:
-                    direction = s.ni_dir1[needy * s.T + s.pk_dst[pkidx]]
+                    direction = s.hop_cls1[s.ni_row[needy] + s.pk_dr[pkidx]]
                     choice = select_vix_dimension(
                         s, cand, s.ni_cred1[cols], direction
                     )
@@ -381,12 +385,17 @@ class VecStepper:
         s = self.s
         packets = s.packets
         pk_last = s.pk_last
+        pk_index = self.net.pk_index
         egress = self._egress
         for po, vc, pki, seq in zip(
             fpo.tolist(), fv.tolist(), fpk.tolist(), fsq.tolist()
         ):
+            packet = packets[pki]
+            # The far domain finds the packet's slot by pid, so the packet
+            # keeps this one slot for life (see VecFabric.pk_index).
+            pk_index[packet.pid] = pki
             egress[po].send_flit(
-                now, vc, boundary_flit(packets[pki], seq, int(pk_last[pki]))
+                now, vc, boundary_flit(packet, seq, int(pk_last[pki]))
             )
 
     def _send_link_credits(self, now, ports, vcs, rels) -> None:

@@ -80,3 +80,23 @@ ENGINES = ("dense", "gated", "vectorized", "2x2-gated", "2x2-vectorized")
 def test_invalid_config_raises_on_every_engine(router, engine):
     with pytest.raises(ValueError):
         _build(engine, _config(**router))
+
+
+@pytest.mark.parametrize("drain_limit", [0, 2000])
+def test_cut_links_keep_one_packet_slot_per_packet(drain_limit):
+    """A packet that crosses a cut keeps its source-side slot, and both
+    the slot and its cut-link entry are released when its tail ejects."""
+    config = _config(num_vcs=4, allocator="vix", virtual_inputs=2)
+    sim = _build("2x2-vectorized", config)
+    result = sim.run(warmup=100, measure=300, drain_limit=drain_limit)
+    assert result.counters["interchip_flits"] > 0
+    fabric = sim._fabric
+    live = [p for p in fabric.s.packets if p is not None]
+    assert all(p.ejected_cycle < 0 for p in live)
+    for pid, idx in fabric.pk_index.items():
+        packet = fabric.s.packets[idx]
+        assert packet is not None and packet.pid == pid
+        assert packet.ejected_cycle < 0
+    # Every slot still held is a packet still in flight, once each.
+    assert len({p.pid for p in live}) == len(live)
+    assert len(live) <= sum(dom.outstanding_flits() for dom in sim.domains)

@@ -111,7 +111,10 @@ def test_router_rows_match_per_terminal_route(allocator, topology, terminals):
 
 @pytest.mark.parametrize("allocator,topology,terminals", FABRICS)
 def test_soa_tables_match_per_element_definitions(allocator, topology, terminals):
+    """The kernel's router-indexed tables, read the way the kernel reads
+    them, equal the per-terminal definitions they replace."""
     np = pytest.importorskip("numpy")
+    from repro.network.flit import Packet
     from repro.sim.vec.state import SoAState
 
     config = _config(allocator, topology, terminals)
@@ -129,40 +132,87 @@ def test_soa_tables_match_per_element_definitions(allocator, topology, terminals
         ],
         dtype=np.int64,
     )
-    la_tab = np.full((R, P, T), -1, dtype=np.int64)
+    # Class of the port r takes toward router d (via d's first terminal).
+    hop_cls = cls_arr[route_tab[:, ::C]]
+    rof = [topo.router_of(t) for t in range(T)]
+    ni_fi1 = np.array([(r * P + p) * V for r, p in rof], dtype=np.int64)
+    term_tab = np.array(
+        [[topo.terminal_of(r, p) for p in range(C)] for r in range(R)],
+        dtype=np.int64,
+    )
+    D = int(cls_arr.max())
+    bonus = (V * (s.sumcap + s.depth) + 1) * s._m2
+    vix_bonus = np.zeros((D + 2, V), dtype=np.int64)
+    for d in range(D + 1):
+        vix_bonus[d + 1] = (s.gof == s.dirmap[d + 1]) * bonus
+
+    for name, expected, dtype in (
+        ("route_tab", route_tab, np.uint8),
+        ("hop_cls", hop_cls, np.int8),
+        ("ni_fi1", ni_fi1, np.int64),
+        ("term_tab", term_tab, np.int64),
+        ("vix_bonus", vix_bonus, np.int64),
+    ):
+        got = getattr(s, name)
+        assert got.dtype == dtype, name
+        assert got.shape == expected.shape, name
+        assert np.array_equal(got, expected), name
+    # The kernels read flat views of these tables.
+    assert np.shares_memory(s.route1, s.route_tab)
+    assert np.shares_memory(s.hop_cls1, s.hop_cls)
+
+    dst_router = np.arange(T) // C
+    # Lookahead, as va_kernel gathers it, against lookahead_direction for
+    # every wired non-local port and every destination terminal.
+    la_got = s.hop_cls1[s.la_row[:, None] + dst_router].reshape(R, P, T)
     for r in range(R):
         for p in range(C, P):
             nb = topo.neighbor(r, p)
             if nb is None:
                 continue
             nxt = route_tab[nb[0]]
-            la_tab[r, p] = np.where(nxt < C, -1, cls_arr[nxt])
-    rof = [topo.router_of(t) for t in range(T)]
-    ni_fi1 = np.array([(r * P + p) * V for r, p in rof], dtype=np.int64)
-    ni_dir1 = cls_arr[route_tab][
-        np.array([r for r, _ in rof], dtype=np.int64)
-    ].reshape(-1)
-    term_tab = np.array(
-        [[topo.terminal_of(r, p) for p in range(C)] for r in range(R)],
-        dtype=np.int64,
-    )
-    bonus = (V * (s.sumcap + s.depth) + 1) * s._m2
-    vix_bonus = np.zeros((T + 2, V), dtype=np.int64)
-    for d in range(T + 1):
-        vix_bonus[d + 1] = (s.gof == s.dirmap[d + 1]) * bonus
+            expected = np.where(nxt < C, -1, cls_arr[nxt])
+            assert np.array_equal(la_got[r, p], expected), (r, p)
+            for t in range(T):
+                la = topo.lookahead_direction(r, p, t)
+                assert la_got[r, p, t] == (-1 if la is None else la), (r, p, t)
+    # NI first hop, as ni_phase gathers it: the class of the port the
+    # source terminal's router takes toward the destination terminal.
+    ni_got = s.hop_cls1[s.ni_row[:, None] + dst_router]
+    src_router = np.array([r for r, _ in rof], dtype=np.int64)
+    assert np.array_equal(ni_got, cls_arr[route_tab][src_router])
+    # A packet is interned with its destination router next to its terminal.
+    for dst in (0, T - 1):
+        idx = s.intern(Packet(dst, 0, dst, 4, 0))
+        assert (s.pk_dst[idx], s.pk_dr[idx]) == (dst, topo.router_of(dst)[0])
 
-    for name, expected in (
-        ("route_tab", route_tab),
-        ("la_tab", la_tab),
-        ("ni_fi1", ni_fi1),
-        ("ni_dir1", ni_dir1),
-        ("term_tab", term_tab),
-        ("vix_bonus", vix_bonus),
-    ):
-        got = getattr(s, name)
-        assert got.dtype == expected.dtype, name
-        assert got.shape == expected.shape, name
-        assert np.array_equal(got, expected), name
-    # The kernels read flat views of these tables.
-    assert np.shares_memory(s.route1, s.route_tab)
-    assert np.shares_memory(s.la1, s.la_tab)
+
+def test_soa_state_of_a_32x32_cmesh_is_small():
+    """Size guard: no static table scales with T x T or R x P x T."""
+    np = pytest.importorskip("numpy")
+    from repro.sim.vec.state import SoAState
+
+    config = _config("vix", "cmesh", 4096)
+    topo = make_topology(config.topology, config.num_terminals)
+    s = SoAState(topo, config)
+    R, P, T = s.R, s.P, s.T
+    assert (R, T) == (1024, 4096)
+    arrays = [a for a in vars(s).values() if isinstance(a, np.ndarray)]
+    arrays += [
+        a
+        for v in vars(s).values()
+        if isinstance(v, list)
+        for a in v
+        if isinstance(a, np.ndarray)
+    ]
+    # Each buffer once: views count toward the array that owns the memory.
+    roots = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        roots[id(a)] = a
+    total = sum(a.nbytes for a in roots.values())
+    assert total <= 40 * 2**20, f"{total / 2**20:.1f} MiB"
+    for a in arrays:
+        assert a.size < R * P * T, a.shape
+        assert a.shape not in ((T, T), (R, P, T)), a.shape
