@@ -230,11 +230,7 @@ def _telemetry_kept_its_promises(run: Run, plain: Run) -> list[str]:
 
 
 #: The degenerate decomposition: one domain owning the whole network.
-ONE_BY_ONE = {
-    "REPRO_ENGINE": "partitioned",
-    "REPRO_PARTITION": "1x1",
-    "REPRO_LINK_LATENCY": "0",
-}
+ONE_BY_ONE = {"REPRO_ENGINE": "partitioned", "REPRO_PARTITION": "1x1"}
 
 SIDES = {
     "dense": Side({"REPRO_ENGINE": "dense"}),

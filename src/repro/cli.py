@@ -43,19 +43,12 @@ def _list_experiments() -> str:
 
 def _list_schemes() -> str:
     """Every registered scheme, by kind, with aliases."""
-    from repro.registry import (
-        allocators,
-        links,
-        partitioners,
-        patterns,
-        topologies,
-        vc_policies,
-    )
+    from repro.registry import allocators, patterns, topologies, vc_policies
 
     from repro.sim.vec import SUPPORTED_ALLOCATORS
 
     lines = ["registered schemes:"]
-    for registry in (allocators, vc_policies, topologies, patterns, partitioners, links):
+    for registry in (allocators, vc_policies, topologies, patterns):
         entries = []
         for info in registry.infos():
             entry = info.name
@@ -200,6 +193,12 @@ def main(argv: list[str] | None = None) -> int:
         "path like chrome:f8_trace.json (equivalent to "
         "REPRO_TRACE_EXPORT / REPRO_TRACE_EXPORT_OUT)",
     )
+    unknown = settings.undeclared()
+    if unknown:
+        parser.error(
+            f"undeclared REPRO_* variable(s) set: {', '.join(unknown)} "
+            f"('python -m repro list' prints the declared ones)"
+        )
     args = parser.parse_args(argv)
 
     # Environment, not argument plumbing: every Simulation, runner and spec

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.network.links import PartitionConfig
 from repro.parallel import ExecutionStats
 from repro.registry import allocators as allocator_registry
 from repro.sim.engine import SimulationResult
@@ -98,10 +99,7 @@ def spec(
                         num_terminals=size * size * 4,
                         injection_rate=1.0,
                         drain_limit=0,
-                        partition="grid",
-                        partition_dims=dims,
-                        link="credit",
-                        link_latency=latency,
+                        partition=PartitionConfig(dims=dims, link_latency=latency),
                     )
                 )
     return ExperimentSpec(

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.network.config import NetworkConfig, RouterConfig
+from repro.network.links import PartitionConfig
 from repro.parallel import SimJob
 from repro.registry import allocators, engines, patterns, topologies, vc_policies
 
@@ -111,22 +112,9 @@ class ScenarioSpec:
     #: "" defers to the runtime default (``REPRO_ENGINE``, else
     #: :func:`repro.sim.engines.resolve_engine`'s built-in choice).
     engine: str = ""
-    #: Chiplet partition scheme (partitioner registry name) — network
-    #: kind.  "" = monolithic run; naming a scheme routes the scenario
-    #: to the ``partitioned`` engine with the fields below.
-    partition: str = ""
-    #: Partition grid ``(px, py)`` (used only when ``partition`` is set).
-    partition_dims: tuple[int, int] = (2, 2)
-    #: Inter-chip link scheme (link registry name).
-    link: str = "credit"
-    link_latency: int = 0
-    link_width: int = 0
-    #: Credit-return latency override for cut links (``None`` mirrors
-    #: ``link_latency``, matching on-chip symmetry).
-    link_credit_latency: int | None = None
-    #: Engine stepping each domain ("gated"/"dense"/"vectorized"; "" names
-    #: none: vectorized where it can run and pays, else gated).
-    domain_engine: str = ""
+    #: Chiplet partition — network kind.  ``None`` = monolithic run; a
+    #: config routes the scenario to the ``partitioned`` engine.
+    partition: PartitionConfig | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", _freeze(self.key))
@@ -154,14 +142,6 @@ class ScenarioSpec:
             object.__setattr__(self, "pattern", patterns.canonical(self.pattern))
         if self.engine:
             object.__setattr__(self, "engine", engines.canonical(self.engine))
-        object.__setattr__(
-            self, "partition_dims", tuple(int(d) for d in self.partition_dims)
-        )
-        if self.partition:
-            from repro.registry import links, partitioners
-
-            object.__setattr__(self, "partition", partitioners.canonical(self.partition))
-            object.__setattr__(self, "link", links.canonical(self.link))
 
     # --- realization -------------------------------------------------------
 
@@ -200,22 +180,6 @@ class ScenarioSpec:
             self.pattern, self.num_terminals, **_options_dict(self.pattern_options)
         )
 
-    def partition_config(self):
-        """The :class:`~repro.network.links.PartitionConfig`, or ``None``."""
-        if not self.partition:
-            return None
-        from repro.network.links import PartitionConfig
-
-        return PartitionConfig(
-            scheme=self.partition,
-            dims=self.partition_dims,
-            link=self.link,
-            link_latency=self.link_latency,
-            link_width=self.link_width,
-            link_credit_latency=self.link_credit_latency,
-            domain_engine=self.domain_engine or None,
-        )
-
     def sim_job(self, warmup: int, measure: int, seed: int) -> SimJob:
         """The cached, picklable job for a ``"network"`` scenario."""
         if self.kind != "network":
@@ -230,14 +194,20 @@ class ScenarioSpec:
             drain_limit=self.drain_limit,
             burst_length=self.burst_length,
             engine=self.engine or None,
-            partition=self.partition_config(),
+            partition=self.partition,
         )
 
     # --- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Plain JSON-able data (inverse of :meth:`from_dict`)."""
+        """Plain JSON-able data (inverse of :meth:`from_dict`).
+
+        The partition is its :meth:`PartitionConfig.spec`, so ``workers``
+        (execution only) stays out of the content identity.
+        """
         data = dataclasses.asdict(self)
+        if self.partition is not None:
+            data["partition"] = self.partition.spec()
 
         def jsonable(value: Any) -> Any:
             if isinstance(value, tuple):
@@ -251,6 +221,8 @@ class ScenarioSpec:
         """Rebuild a scenario written by :meth:`to_dict`."""
         fields = {f.name for f in dataclasses.fields(cls)}
         kwargs = {name: _thaw(value) for name, value in data.items() if name in fields}
+        if kwargs.get("partition") is not None:
+            kwargs["partition"] = PartitionConfig(**kwargs["partition"])
         return cls(**kwargs)
 
 

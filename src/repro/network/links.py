@@ -34,8 +34,9 @@ straight into the peer's wheel) and the epoch-synchronized worker mode
 (the remote side is ``None``: messages buffer in ``outbox`` and the
 coordinator ferries them at epoch barriers).
 
-Link schemes are registered in :data:`repro.registry.links`; a scheme
-factory returns a :class:`LinkConfig`.
+There is one link model: :class:`PartitionConfig` carries its latency,
+width and credit latency, and :meth:`PartitionConfig.link_config` builds
+the :class:`LinkConfig` every cut link of a run shares.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import settings
-from repro.registry import links as link_registry
 
 #: Event kinds, mirroring :mod:`repro.network.network` (kept in sync by
 #: ``tests/network/test_links.py``; duplicating the ints avoids a cycle).
@@ -57,7 +57,7 @@ MSG_CREDIT = 1
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Timing/width model of one inter-chip link scheme."""
+    """Timing/width model of an inter-chip link."""
 
     #: Extra forward cycles on top of the router pipeline (0 = on-chip hop).
     latency: int = 0
@@ -95,28 +95,6 @@ class LinkConfig:
         )
 
 
-def _ideal_link(latency: int = 0, width: int = 0, credit_latency: int | None = None):
-    """Zero-latency, full-width link regardless of arguments."""
-    del latency, width, credit_latency
-    return LinkConfig(latency=0, width=0, credit_latency=0)
-
-
-link_registry.register(
-    "credit",
-    LinkConfig,
-    aliases=("interchip",),
-    label="credit-flow inter-chip link",
-    provenance="configurable latency/width; closed credit loop across the cut",
-)
-link_registry.register(
-    "ideal",
-    _ideal_link,
-    aliases=("zero",),
-    label="ideal zero-latency link",
-    provenance="latency 0, full width: boundary behaves like an on-chip hop",
-)
-
-
 @dataclass(frozen=True)
 class PartitionConfig:
     """How a simulation is decomposed into chiplet domains.
@@ -126,13 +104,13 @@ class PartitionConfig:
     way, so it is excluded from cache identities.
     """
 
-    #: Partition scheme (:data:`repro.registry.partitioners` name).
-    scheme: str = "grid"
-    #: Partition grid ``(px, py)``; ``(1, 1)`` = monolithic-equivalent.
+    #: Partition grid ``(px, py)`` of equal router rectangles
+    #: (:func:`~repro.topology.partition.grid_partition`); ``(1, 1)`` =
+    #: monolithic-equivalent.
     dims: tuple[int, int] = (2, 2)
-    #: Link scheme (:data:`repro.registry.links` name).
-    link: str = "credit"
+    #: Extra forward cycles on a cut link (0 = an on-chip hop).
     link_latency: int = 0
+    #: Serialization factor of a cut link (0/1 = full width).
     link_width: int = 0
     #: Extra cycles on the returning credit; ``None`` mirrors
     #: ``link_latency`` (the symmetric-channel default).
@@ -147,10 +125,6 @@ class PartitionConfig:
     workers: int | str = 1
 
     def __post_init__(self) -> None:
-        from repro.registry import partitioners
-
-        object.__setattr__(self, "scheme", partitioners.canonical(self.scheme))
-        object.__setattr__(self, "link", link_registry.canonical(self.link))
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 2 or dims[0] < 1 or dims[1] < 1:
             raise ValueError(f"partition dims must be (px>=1, py>=1), got {self.dims}")
@@ -166,8 +140,7 @@ class PartitionConfig:
 
     def link_config(self) -> LinkConfig:
         """The :class:`LinkConfig` for this partition's cut links."""
-        return link_registry.create(
-            self.link,
+        return LinkConfig(
             latency=self.link_latency,
             width=self.link_width,
             credit_latency=self.link_credit_latency,
@@ -180,9 +153,7 @@ class PartitionConfig:
         rule :meth:`SimJob.key` follows for ``engine``.
         """
         return {
-            "scheme": self.scheme,
             "dims": list(self.dims),
-            "link": self.link,
             "link_latency": self.link_latency,
             "link_width": self.link_width,
             "link_credit_latency": self.link_credit_latency,
@@ -191,24 +162,16 @@ class PartitionConfig:
 
     @classmethod
     def from_env(cls) -> "PartitionConfig":
-        """Resolve from ``REPRO_PARTITION*`` (used when ``REPRO_ENGINE=
+        """Resolve from the environment (used when ``REPRO_ENGINE=
         partitioned`` selects the engine without an explicit config).
 
-        ``REPRO_PARTITION`` is the grid ("2x2", "1x1", ...); the link
-        scheme, latency, width, credit latency, per-domain engine, and
-        worker count ride ``REPRO_PARTITION_LINK`` /
-        ``REPRO_LINK_LATENCY`` / ``REPRO_LINK_WIDTH`` /
-        ``REPRO_LINK_CREDIT_LATENCY`` / ``REPRO_DOMAIN_ENGINE`` /
-        ``REPRO_PARTITION_WORKERS`` (see :mod:`repro.settings`).
+        ``REPRO_PARTITION`` is the grid ("2x2", "1x1", ...) and
+        ``REPRO_DOMAIN_ENGINE`` the per-domain engine (see
+        :mod:`repro.settings`); every other field keeps its default.
         """
         return cls(
             dims=settings.get("REPRO_PARTITION"),
-            link=settings.get("REPRO_PARTITION_LINK", link_registry.canonical),
-            link_latency=settings.get("REPRO_LINK_LATENCY"),
-            link_width=settings.get("REPRO_LINK_WIDTH"),
-            link_credit_latency=settings.get("REPRO_LINK_CREDIT_LATENCY"),
             domain_engine=settings.get("REPRO_DOMAIN_ENGINE"),
-            workers=settings.get("REPRO_PARTITION_WORKERS"),
         )
 
 

@@ -130,15 +130,6 @@ class Network:
             self._live_routers = [r for r in self.routers if r is not None]
             self._wire()
         self.counters = ActivityCounters()
-        # Flits carried per directed link, held as per-router arrays indexed
-        # by output port (a plain list increment in the grant loop instead
-        # of a tuple-keyed dict op); exposed as a dict via ``link_flits``.
-        self._link_keys = [
-            (spec.src_router, spec.src_port) for spec in self.topology.links()
-        ]
-        self._link_counts = [
-            [0] * self.topology.radix for _ in range(self.topology.num_routers)
-        ]
         self.cycle = 0
         # Per-hop latencies resolved once (attribute chains cost in the
         # per-cycle loop).
@@ -232,12 +223,6 @@ class Network:
         """
         spec = link.spec
         self.routers[spec.dst_router].upstream[spec.dst_port] = LinkIngress(link)
-
-    @property
-    def link_flits(self) -> dict[tuple[int, int], int]:
-        """Flits carried per directed link, keyed by (router, output port)."""
-        counts = self._link_counts
-        return {(r, p): counts[r][p] for r, p in self._link_keys}
 
     # --- event plumbing ---------------------------------------------------
 
@@ -455,7 +440,6 @@ class Network:
         inputs = router.inputs
         outputs = router.outputs
         upstream = router.upstream
-        link_counts = self._link_counts[router.rid]
         rid = router.rid
         # Every grant schedules its flit move at ``now + pipe`` and (links
         # and injection channels are always wired) a credit at ``now +
@@ -503,7 +487,6 @@ class Network:
                     )
                 ovc.credits = credits - 1
                 links += 1
-                link_counts[out_port] += 1
                 if out.link is None:
                     moveq.append(
                         (_ARRIVAL, out.dest_router, out.dest_port, ivc.out_vc, flit)
@@ -602,23 +585,6 @@ class Network:
                         key = ("ni", sink.terminal, ev[2])
                     credits[key] = credits.get(key, 0) + 1
         return arrivals, credits
-
-    def channel_utilization(self) -> dict[tuple[int, int], float]:
-        """Per-link utilization (flits carried / cycles simulated).
-
-        Keys are ``(router, output port)``; a value of 1.0 means the link
-        carried a flit every cycle.  Useful for spotting the saturated DOR
-        channels that bound permutation-traffic throughput.
-        """
-        cycles = max(1, self.counters.cycles)
-        return {link: count / cycles for link, count in self.link_flits.items()}
-
-    def hottest_links(self, n: int = 5) -> list[tuple[tuple[int, int], float]]:
-        """The ``n`` busiest links as ``((router, port), utilization)``."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        util = self.channel_utilization()
-        return sorted(util.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
 __all__ = ["Network", "VCState"]

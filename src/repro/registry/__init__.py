@@ -8,11 +8,11 @@ one of the registries below:
 * :data:`topologies` — network topologies (:mod:`repro.topology`);
 * :data:`patterns` — synthetic traffic patterns (:mod:`repro.traffic.patterns`);
 * :data:`experiments` — table/figure drivers (:mod:`repro.experiments`);
-* :data:`engines` — simulation engine backends (:mod:`repro.sim.engines`);
-* :data:`partitioners` — topology-to-chiplet-domain partition schemes
-  (:mod:`repro.topology.partition`);
-* :data:`links` — inter-chip link models joining partitioned domains
-  (:mod:`repro.network.links`).
+* :data:`engines` — simulation engine backends (:mod:`repro.sim.engines`).
+
+A chiplet partition is not a registry axis: it has one cut (the grid of
+:func:`repro.topology.partition.grid_partition`) and one link model, both
+described by :class:`repro.network.links.PartitionConfig`.
 
 Each registry lazily imports its providing module on first lookup, so this
 package stays import-light (stdlib only) and cycle-free: providers import
@@ -48,10 +48,6 @@ patterns = Registry("traffic pattern", provider="repro.traffic.patterns")
 experiments = Registry("experiment", provider="repro.experiments")
 #: Simulation engine backends (dense / gated object stepping, numpy SoA).
 engines = Registry("engine", provider="repro.sim.engines")
-#: Partition schemes cutting a topology into chiplet simulation domains.
-partitioners = Registry("partitioner", provider="repro.topology.partition")
-#: Inter-chip link models (latency/width/credit behaviour at domain cuts).
-links = Registry("link", provider="repro.network.links")
 
 #: Every registry, for ``list`` output and completeness checks.
 ALL_REGISTRIES: tuple[Registry, ...] = (
@@ -61,8 +57,6 @@ ALL_REGISTRIES: tuple[Registry, ...] = (
     patterns,
     experiments,
     engines,
-    partitioners,
-    links,
 )
 
 __all__ = [
@@ -76,8 +70,6 @@ __all__ = [
     "allocators",
     "engines",
     "experiments",
-    "links",
-    "partitioners",
     "patterns",
     "topologies",
     "vc_policies",

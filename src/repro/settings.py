@@ -12,9 +12,11 @@ parser rejects raises ``ValueError("invalid $NAME value 'raw': expected
 the same way (its error leaves out ``$NAME``); :func:`resolve` is
 "explicit argument beats environment".
 
-A leaf module, importing nothing from ``repro``: the rows holding registry
-names (``REPRO_ENGINE``, ``REPRO_PARTITION_LINK``) and ``REPRO_FAULTS``
-have their owner's parser passed as ``convert=``, under the same contract.
+A leaf module, importing nothing from ``repro``: the row holding a
+registry name (``REPRO_ENGINE``) and ``REPRO_FAULTS`` have their owner's
+parser passed as ``convert=``, under the same contract.  A set ``REPRO_*``
+name that no row declares is an error too (:func:`undeclared`, checked by
+the CLI), so a misspelt or removed variable cannot be silently ignored.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ def _choice(*names: str) -> Callable[[str], str]:
 
 
 _SWITCH = "1/true/yes/on or 0/false/no/off"
-_WORKERS = "an integer or 'auto' (one worker per CPU core)"
 
 SETTINGS: dict[str, Setting] = {
     s.name: s
@@ -96,7 +97,9 @@ SETTINGS: dict[str, Setting] = {
         # --- experiments -----------------------------------------------------
         Setting("REPRO_FULL", _switch, False, _SWITCH,
                 "paper-fidelity run lengths instead of the fast preset", "--full"),
-        Setting("REPRO_JOBS", _workers, 1, _WORKERS + "; < 1 also means auto",
+        Setting("REPRO_JOBS", _workers, 1,
+                "an integer or 'auto' (one worker per CPU core); < 1 also "
+                "means auto",
                 "worker processes for simulation fan-out", "--jobs"),
         Setting("REPRO_ENGINE", str.lower, None,
                 "a registered engine name (`python -m repro list`)",
@@ -133,18 +136,6 @@ SETTINGS: dict[str, Setting] = {
         # --- chiplet partition (with REPRO_ENGINE=partitioned) ---------------
         Setting("REPRO_PARTITION", _grid, (2, 2), "PXxPY (e.g. 2x2)",
                 "partition grid; 1x1 is the monolithic-equivalent"),
-        Setting("REPRO_PARTITION_LINK", str.lower, "credit",
-                "a registered link scheme (`python -m repro list`)",
-                "inter-chip link scheme"),
-        Setting("REPRO_PARTITION_WORKERS", _workers, 1, _WORKERS,
-                "worker processes stepping the domains (1 = in-process)"),
-        Setting("REPRO_LINK_LATENCY", _integer(0), 0, "an integer >= 0",
-                "extra forward cycles on a cut link"),
-        Setting("REPRO_LINK_WIDTH", _integer(0), 0, "an integer >= 0",
-                "serialization factor of a cut link (0/1 = full width)"),
-        Setting("REPRO_LINK_CREDIT_LATENCY", _integer(0), None, "an integer >= 0",
-                "extra cycles on the returning credit; unset mirrors "
-                "REPRO_LINK_LATENCY"),
         Setting("REPRO_DOMAIN_ENGINE", _choice("gated", "dense", "vectorized"), None,
                 "gated, dense or vectorized",
                 "engine stepping each domain; unset = vectorized where it "
@@ -179,6 +170,11 @@ SETTINGS: dict[str, Setting] = {
                 "--trace-export"),
     )
 }
+
+
+def undeclared() -> list[str]:
+    """The ``REPRO_*`` variables set in the environment that no row declares."""
+    return sorted(n for n in os.environ if n.startswith("REPRO_") and n not in SETTINGS)
 
 
 def _parse(setting: Setting, raw: str, source: str, convert) -> Any:

@@ -81,7 +81,7 @@ def run_simulation(
     selects the ``partitioned`` engine with that domain decomposition; it
     conflicts with any other explicit ``engine``.  Naming
     ``engine="partitioned"`` (or ``REPRO_ENGINE=partitioned``) without a
-    config resolves one from the ``REPRO_PARTITION*`` environment.
+    config resolves one with :meth:`PartitionConfig.from_env`.
     """
     from repro.sim.engines import make_engine, resolve_engine
 

@@ -288,13 +288,6 @@ class VecDomain(Network):
         rows = self._router_ids
         links = self.s.links[rows]
         if links.any():
-            # Per-link counts also feed the object-side table (the report
-            # surface).
-            link_counts = self._link_counts
-            for r, row in zip(rows.tolist(), links.tolist()):
-                counts = link_counts[r]
-                for p, c in enumerate(row):
-                    counts[p] += c
             self.s.links[rows] = 0
             mine.link_traversals += int(links.sum())
         ejected = self._stepper.ejected

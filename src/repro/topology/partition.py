@@ -8,25 +8,20 @@ endpoints fall in different domains.  Everything downstream (the domain
 :class:`~repro.network.links.InterChipLink` construction, the invariant
 checkers) consumes the plan; nothing re-derives the cut.
 
-The ``grid`` scheme mirrors fpgagraphlib's partitioning of one logical
-network onto an FPGA grid: the router grid is sliced into ``px x py``
-equal rectangles, one domain per rectangle.  It applies to every
-registered topology that exposes grid coordinates (``width`` /
-``height`` / ``coords``), which is all of them — mesh, cmesh, torus,
-and the flattened butterfly (whose row/column express links simply
-produce more cut links per domain boundary).  A ``1x1`` grid degenerates
-to one domain owning everything and needs no coordinates at all, so the
-monolithic-equivalence gate works for any topology.
-
-Plans are registered in :data:`repro.registry.partitioners`; a scheme
-factory has signature ``factory(topology, dims) -> PartitionPlan``.
+:func:`grid_partition` is the one way to cut a topology, mirroring
+fpgagraphlib's partitioning of one logical network onto an FPGA grid: the
+router grid is sliced into ``px x py`` equal rectangles, one domain per
+rectangle.  It applies to every registered topology that exposes grid
+coordinates (``width`` / ``height`` / ``coords``), which is all of them —
+mesh, cmesh, torus, and the flattened butterfly (whose row/column express
+links simply produce more cut links per domain boundary).  A ``1x1`` grid
+degenerates to one domain owning everything and needs no coordinates at
+all, so the monolithic-equivalence gate works for any topology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.registry import partitioners as partitioner_registry
 
 from .base import LinkSpec, Topology
 
@@ -140,21 +135,4 @@ def grid_partition(topology: Topology, dims: tuple[int, int]) -> PartitionPlan:
     return _plan_from_assignment(topology, (px, py), router_domain)
 
 
-partitioner_registry.register(
-    "grid",
-    grid_partition,
-    aliases=("chiplet_grid",),
-    label="rectangular chiplet grid",
-    provenance="fpgagraphlib-style px x py cut of the router grid; "
-    "1x1 degenerates to the monolithic network",
-)
-
-
-def make_partition(
-    scheme: str, topology: Topology, dims: tuple[int, int]
-) -> PartitionPlan:
-    """Build a partition plan by registry name (dispatch helper)."""
-    return partitioner_registry.create(scheme, topology, dims)
-
-
-__all__ = ["PartitionPlan", "grid_partition", "make_partition"]
+__all__ = ["PartitionPlan", "grid_partition"]

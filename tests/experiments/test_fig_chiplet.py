@@ -16,15 +16,15 @@ class TestSpec:
         for s in spec.scenarios:
             assert s.key[0] == "sat"
             assert s.topology == "cmesh"
-            assert s.partition == "grid"
+            assert s.partition.link_latency == s.key[3]
             assert s.injection_rate == 1.0
             assert s.drain_limit == 0
         sizes = {s.key[1] for s in spec.scenarios}
         assert sizes == {16, 32}
         by_size = {s.key[1]: s for s in spec.scenarios}
-        assert by_size[16].partition_dims == (2, 2)
+        assert by_size[16].partition.dims == (2, 2)
         assert by_size[16].num_terminals == 16 * 16 * 4
-        assert by_size[32].partition_dims == (4, 4)
+        assert by_size[32].partition.dims == (4, 4)
         assert by_size[32].num_terminals == 32 * 32 * 4
         assert {s.key[3] for s in spec.scenarios} == {0, 4, 8}
 

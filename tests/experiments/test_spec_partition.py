@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.spec import ExperimentSpec, ScenarioSpec
+from repro.network.links import PartitionConfig
 from repro.registry import topologies
 from repro.topology import make_topology
 from repro.topology.partition import grid_partition
@@ -42,15 +43,13 @@ class TestRoundTripEveryTopology:
     def test_partitioned_scenario_round_trips(self, topology):
         spec = _scenario(
             topology,
-            partition="grid",
-            partition_dims=(2, 2),
-            link="credit",
-            link_latency=4,
-            link_width=2,
+            partition=PartitionConfig(
+                dims=(2, 2), link_latency=4, link_width=2, link_credit_latency=1
+            ),
         )
         clone = ScenarioSpec.from_dict(spec.to_dict())
         assert clone == spec
-        assert clone.partition_config() == spec.partition_config()
+        assert clone.partition == spec.partition
 
     @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
     def test_content_key_stable_across_round_trip(self, topology):
@@ -59,7 +58,9 @@ class TestRoundTripEveryTopology:
             scenarios=(
                 _scenario(topology),
                 _scenario(
-                    topology, key=("p", topology), partition="grid", link_latency=2
+                    topology,
+                    key=("p", topology),
+                    partition=PartitionConfig(link_latency=2),
                 ),
             ),
         )
@@ -70,19 +71,25 @@ class TestRoundTripEveryTopology:
     def test_partition_fields_change_the_key(self):
         base = ExperimentSpec(name="k", scenarios=(_scenario("mesh"),))
         cut = ExperimentSpec(
-            name="k", scenarios=(_scenario("mesh", partition="grid"),)
+            name="k", scenarios=(_scenario("mesh", partition=PartitionConfig()),)
         )
         assert base.content_key() != cut.content_key()
 
-    def test_partition_aliases_canonicalize(self):
-        spec = _scenario("mesh", partition="chiplet_grid", link="interchip")
-        assert spec.partition == "grid"
-        assert spec.link == "credit"
-        cfg = spec.partition_config()
-        assert cfg is not None and cfg.scheme == "grid" and cfg.link == "credit"
+    def test_workers_stay_out_of_the_content_key(self):
+        def key(workers):
+            scenario = _scenario("mesh", partition=PartitionConfig(workers=workers))
+            return ExperimentSpec(name="k", scenarios=(scenario,)).content_key()
+
+        assert key(1) == key("auto")
+
+    def test_sim_job_carries_the_scenario_partition(self):
+        spec = _scenario("mesh", partition=PartitionConfig(dims=(2, 1), link_latency=3))
+        assert spec.sim_job(10, 20, seed=1).partition is spec.partition
 
     def test_monolithic_scenario_has_no_partition_config(self):
-        assert _scenario("mesh").partition_config() is None
+        scenario = _scenario("mesh")
+        assert scenario.partition is None
+        assert scenario.sim_job(10, 20, seed=1).partition is None
 
 
 class TestEveryGridTopologyPartitions:

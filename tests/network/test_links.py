@@ -17,7 +17,6 @@ from repro.network.links import (
 from repro.network.links import _ARRIVAL as LINK_ARRIVAL
 from repro.network.links import _CREDIT as LINK_CREDIT
 from repro.network.network import Network
-from repro.registry import links as link_registry
 from repro.topology import make_topology
 from repro.topology.partition import grid_partition
 
@@ -55,14 +54,6 @@ class TestLinkConfig:
         assert cfg.min_cross_delay(3, 2) == min(3 + 4, 2 + 4)
         assert LinkConfig().min_cross_delay(3, 2) == 2
         assert LinkConfig(latency=10, credit_latency=0).min_cross_delay(3, 2) == 2
-
-    def test_registry_schemes(self):
-        assert link_registry.canonical("interchip") == "credit"
-        assert link_registry.canonical("zero") == "ideal"
-        credit = link_registry.create("credit", latency=5, width=2)
-        assert (credit.latency, credit.width) == (5, 2)
-        ideal = link_registry.create("ideal", latency=5, width=2)
-        assert (ideal.latency, ideal.width, ideal.effective_credit_latency) == (0, 0, 0)
 
 
 def _linked_pair(link_config: LinkConfig):
@@ -180,11 +171,6 @@ class TestInterChipLink:
 
 
 class TestPartitionConfig:
-    def test_canonicalizes_scheme_and_link(self):
-        cfg = PartitionConfig(scheme="chiplet_grid", link="interchip")
-        assert cfg.scheme == "grid"
-        assert cfg.link == "credit"
-
     def test_accepts_vectorized_domain_engine(self):
         assert PartitionConfig(domain_engine="vectorized").domain_engine == "vectorized"
 
@@ -222,54 +208,17 @@ class TestPartitionConfig:
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARTITION", "4x2")
-        monkeypatch.setenv("REPRO_PARTITION_LINK", "ideal")
-        monkeypatch.setenv("REPRO_LINK_LATENCY", "3")
-        monkeypatch.setenv("REPRO_LINK_WIDTH", "2")
-        monkeypatch.setenv("REPRO_LINK_CREDIT_LATENCY", "1")
         monkeypatch.setenv("REPRO_DOMAIN_ENGINE", "dense")
-        monkeypatch.setenv("REPRO_PARTITION_WORKERS", "auto")
-        cfg = PartitionConfig.from_env()
-        assert cfg.dims == (4, 2)
-        assert cfg.link == "ideal"
-        assert (cfg.link_latency, cfg.link_width) == (3, 2)
-        assert cfg.link_credit_latency == 1
-        assert cfg.domain_engine == "dense"
-        assert cfg.workers == "auto"
+        assert PartitionConfig.from_env() == PartitionConfig(
+            dims=(4, 2), domain_engine="dense"
+        )
 
     def test_from_env_defaults(self, monkeypatch):
-        for var in (
-            "REPRO_PARTITION",
-            "REPRO_PARTITION_LINK",
-            "REPRO_LINK_LATENCY",
-            "REPRO_LINK_WIDTH",
-            "REPRO_LINK_CREDIT_LATENCY",
-            "REPRO_DOMAIN_ENGINE",
-            "REPRO_PARTITION_WORKERS",
-        ):
-            monkeypatch.delenv(var, raising=False)
-        cfg = PartitionConfig.from_env()
-        assert cfg == PartitionConfig()
-        assert cfg.link_credit_latency is None
+        monkeypatch.delenv("REPRO_PARTITION", raising=False)
+        monkeypatch.delenv("REPRO_DOMAIN_ENGINE", raising=False)
+        assert PartitionConfig.from_env() == PartitionConfig()
 
     def test_from_env_rejects_malformed_grid(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARTITION", "2by2")
         with pytest.raises(ValueError, match="REPRO_PARTITION"):
-            PartitionConfig.from_env()
-
-    @pytest.mark.parametrize(
-        "var",
-        ["REPRO_LINK_LATENCY", "REPRO_LINK_WIDTH", "REPRO_LINK_CREDIT_LATENCY"],
-    )
-    def test_from_env_names_bad_integer_var(self, var, monkeypatch):
-        """Malformed numbers name the offending variable, not a bare
-        int() traceback (the $REPRO_JOBS error-contract precedent)."""
-        monkeypatch.setenv(var, "fast")
-        with pytest.raises(ValueError, match=rf"\${var}.*integer"):
-            PartitionConfig.from_env()
-
-    def test_from_env_names_bad_worker_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARTITION_WORKERS", "many")
-        with pytest.raises(
-            ValueError, match=r"\$REPRO_PARTITION_WORKERS.*integer or 'auto'"
-        ):
             PartitionConfig.from_env()

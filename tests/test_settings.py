@@ -65,11 +65,6 @@ ROWS = {
     "REPRO_FAULTS": (lambda: inject_fault(0, 0), ["nuke@0", "raise@", "hang@1x0"]),
     "REPRO_FAULT_HANG_SECONDS": (hang_seconds, ["soon"]),  # bare float() error
     "REPRO_PARTITION": (_PART, ["2by2", "2x"]),
-    "REPRO_PARTITION_LINK": (_PART, ["wormhole"]),
-    "REPRO_PARTITION_WORKERS": (_PART, ["many"]),
-    "REPRO_LINK_LATENCY": (_PART, ["fast", "-1"]),
-    "REPRO_LINK_WIDTH": (_PART, ["wide", "-1"]),
-    "REPRO_LINK_CREDIT_LATENCY": (_PART, ["1.5"]),
     "REPRO_DOMAIN_ENGINE": (_PART, ["simd"]),
     "REPRO_TRACE": (_OBS, []),
     "REPRO_TRACE_SAMPLE": (_OBS, ["abc", "2", "0"]),  # bare float() / unnamed
@@ -84,7 +79,7 @@ ROWS = {
 }
 READERS = {name: reader for name, (reader, _) in ROWS.items()}
 #: Rows whose membership check is the owner's parser, passed as ``convert=``.
-CONVERTED = ("REPRO_ENGINE", "REPRO_PARTITION_LINK", "REPRO_FAULTS")
+CONVERTED = ("REPRO_ENGINE", "REPRO_FAULTS")
 
 
 @pytest.fixture(autouse=True)
@@ -99,7 +94,7 @@ def _clean_environment():
 
 
 def test_every_row_is_covered_here():
-    assert list(ROWS) == NAMES and len(NAMES) == 29
+    assert list(ROWS) == NAMES and len(NAMES) == 24
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -230,6 +225,19 @@ def test_list_prints_the_table(capsys):
     assert settings.table() in capsys.readouterr().out
 
 
+def test_undeclared_variable_is_rejected_by_name(monkeypatch, capsys):
+    """A removed knob must not be silently ignored: with it set, the CLI
+    stops before running anything and names it."""
+    monkeypatch.setenv("REPRO_LINK_WIDTH", "2")
+    monkeypatch.setenv("REPRO_PARTITION", "2x2")  # declared: not named
+    with pytest.raises(SystemExit) as exc:
+        main(["list"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "undeclared REPRO_* variable(s) set: REPRO_LINK_WIDTH " in err
+    assert settings.undeclared() == ["REPRO_LINK_WIDTH"]
+
+
 # --- one home, and no undeclared knobs --------------------------------------
 
 
@@ -240,7 +248,9 @@ def test_only_settings_reads_and_only_the_cli_writes_the_environment():
         if hits:
             touching[path.name] = hits
     assert set(touching) == {"settings.py", "cli.py"}
-    assert all(h.startswith("os.environ.get(") for h in touching["settings.py"])
+    # Reads are per-name gets, plus the one scan for undeclared names.
+    reads = [h for h in touching["settings.py"] if not h.startswith("os.environ.get(")]
+    assert reads == ['os.environ if n.startswith("REPRO_") and n not in SETTINGS)']
     assert all(h.startswith("os.environ[name] = ") for h in touching["cli.py"])
 
 

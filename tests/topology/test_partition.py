@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.registry import partitioners, topologies
+from repro.registry import topologies
 from repro.topology import make_topology
-from repro.topology.partition import PartitionPlan, grid_partition, make_partition
+from repro.topology.partition import grid_partition
 
 
 def _mesh64():
@@ -105,14 +105,3 @@ class TestErrors:
     def test_degenerate_dims_rejected(self):
         with pytest.raises(ValueError, match=">= 1x1"):
             grid_partition(_mesh64(), (0, 1))
-
-
-class TestRegistry:
-    def test_registered_scheme_and_alias(self):
-        assert partitioners.canonical("grid") == "grid"
-        assert partitioners.canonical("chiplet_grid") == "grid"
-
-    def test_make_partition_dispatches(self):
-        plan = make_partition("chiplet_grid", _mesh64(), (2, 2))
-        assert isinstance(plan, PartitionPlan)
-        assert plan.num_domains == 4
