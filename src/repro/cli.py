@@ -193,12 +193,10 @@ def main(argv: list[str] | None = None) -> int:
         "path like chrome:f8_trace.json (equivalent to "
         "REPRO_TRACE_EXPORT / REPRO_TRACE_EXPORT_OUT)",
     )
-    unknown = settings.undeclared()
-    if unknown:
-        parser.error(
-            f"undeclared REPRO_* variable(s) set: {', '.join(unknown)} "
-            f"('python -m repro list' prints the declared ones)"
-        )
+    try:
+        settings.check_declared()
+    except ValueError as exc:
+        parser.error(str(exc))
     args = parser.parse_args(argv)
 
     # Environment, not argument plumbing: every Simulation, runner and spec

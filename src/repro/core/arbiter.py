@@ -18,9 +18,9 @@ def rr_winner(pointer: int, requests: Iterable[int], n: int) -> int | None:
     The requester with the smallest offset ``(idx - pointer) mod n`` wins.
     This is the single scalar definition of the rotating-priority grant:
     :class:`RoundRobinArbiter` dispatches through it, and the vectorized
-    engine's batched form (an argmin over the same rolled offsets, see
-    :mod:`repro.sim.vec.kernels`) is pinned to it by tests — so the object
-    and array allocation paths cannot drift apart.
+    engine's batched form (a sort by the same rolled offsets,
+    :func:`repro.sim.vec.kernels.rr_arbitrate`) is pinned to it by tests —
+    so the object and array allocation paths cannot drift apart.
     """
     win = None
     best = n

@@ -15,8 +15,9 @@ the same way (its error leaves out ``$NAME``); :func:`resolve` is
 A leaf module, importing nothing from ``repro``: the row holding a
 registry name (``REPRO_ENGINE``) and ``REPRO_FAULTS`` have their owner's
 parser passed as ``convert=``, under the same contract.  A set ``REPRO_*``
-name that no row declares is an error too (:func:`undeclared`, checked by
-the CLI), so a misspelt or removed variable cannot be silently ignored.
+name that no row declares is an error too (:func:`check_declared`, run by
+the CLI at start and by :func:`get`), so a misspelt or removed variable
+cannot be silently ignored, by the CLI or by a library caller.
 """
 
 from __future__ import annotations
@@ -172,9 +173,21 @@ SETTINGS: dict[str, Setting] = {
 }
 
 
-def undeclared() -> list[str]:
-    """The ``REPRO_*`` variables set in the environment that no row declares."""
-    return sorted(n for n in os.environ if n.startswith("REPRO_") and n not in SETTINGS)
+def check_declared() -> None:
+    """Raise ``ValueError`` naming the set ``REPRO_*`` variables no row declares."""
+    unknown = sorted(n for n in os.environ if n.startswith("REPRO_") and n not in SETTINGS)
+    if unknown:
+        raise ValueError(
+            f"undeclared REPRO_* variable(s) set: {', '.join(unknown)} "
+            f"('python -m repro list' prints the declared ones)"
+        )
+
+
+#: Environment size at :func:`get`'s last clean scan.  A scan costs ~200x
+#: reading the size and a warm-cache replay reads several settings, so a read
+#: rescans only once a variable was added or removed (a size-keeping swap
+#: waits for the next such change, or for the CLI's check at start).
+_checked_size = -1
 
 
 def _parse(setting: Setting, raw: str, source: str, convert) -> Any:
@@ -189,6 +202,10 @@ def _parse(setting: Setting, raw: str, source: str, convert) -> Any:
 
 def get(name: str, convert: Callable[[Any], Any] | None = None) -> Any:
     """The value of ``$name``: its default when unset or blank."""
+    global _checked_size
+    if (size := len(os.environ)) != _checked_size:
+        check_declared()
+        _checked_size = size
     setting = SETTINGS[name]
     raw = os.environ.get(name, "").strip()
     if not raw:

@@ -1,21 +1,26 @@
 """Batched VC-allocation and switch-allocation kernels.
 
 Each function replays, with array ops across every router at once, the
-exact decision sequence of the object engine's per-router loops.  The core
-primitive is the batched round-robin grant over *sorted rolled offsets*:
-the winner of a round-robin arbiter minimizes ``(slot - pointer) mod n``
-(exactly :func:`repro.core.arbiter.rr_winner`; a drift-guard test pins the
-two together), and because the pointer advances one past each winner, the
-winners of successive rounds are simply the requesters in ascending offset
-order.  Sorting requesters by ``(arbiter id, offset)`` therefore yields
-every arbiter's full grant sequence in one argsort — group heads are the
-round-1 winners, ranks within a group are round numbers.
+exact decision sequence of the object engine's per-router loops.  Every
+round-robin arbiter bank — VA per output, SA input-first and
+output-first phases 1 and 2, the port-level matchers' per-port VC pick —
+goes through the one primitive :func:`rr_arbitrate`.  The winner of a
+round-robin arbiter minimizes ``(slot - pointer) mod n`` (exactly
+:func:`repro.core.arbiter.rr_winner`; a drift-guard test pins the two
+together), and because the pointer advances one past each winner, the
+winners of successive rounds are simply the requesters in ascending
+offset order.  Sorting requesters by ``(arbiter id, offset)`` therefore
+yields every arbiter's full grant sequence in one argsort — group heads
+are the round-1 winners, ranks within a group are round numbers.  Only
+the requester encoding differs between the banks: which id is the group
+(arbiter), which the slot, and the width.
 
-Everything is addressed through the flat views and precomputed index/roll
-tables of :class:`~repro.sim.vec.state.SoAState`: at these array sizes (a
-few thousand elements) numpy per-op dispatch dominates, and single-array
-flat indexing is several times cheaper than multi-axis fancy indexing or
-axis reductions over request cubes.
+Everything is addressed through the flat views and precomputed index
+tables of :class:`~repro.sim.vec.state.SoAState`, its width-keyed
+round-robin tables included: at these array sizes (a few thousand
+elements) numpy per-op dispatch dominates, and single-array flat indexing
+is several times cheaper than multi-axis fancy indexing, axis reductions
+over request cubes, or ``%`` arithmetic.
 
 Order independence, which is what makes batching legal:
 
@@ -37,7 +42,7 @@ the few outputs with multiple same-cycle heads.
 The port-level matchers share one skeleton: scatter the request lines into
 a flat ``(R, P, P)`` 0/1 request matrix, match it per router, then let each
 matched input port round-robin among its VCs on the matched cell through
-the same sorted-offset primitive.  Wavefront's match is ``P`` waves of
+:func:`rr_arbitrate`.  Wavefront's match is ``P`` waves of
 row/column-free masking over every router at once; augmenting-path's is a
 stateless function of the matrix, so each router's packed row is looked up
 in a bounded memo (:data:`AP_MEMO_CAP`) on the ``SoAState`` and only a miss
@@ -58,19 +63,6 @@ from .state import ACTIVE, VA_WAIT, SoAState
 #: it clears the memo (an 8x8-mesh saturation run sees a few thousand
 #: distinct request matrices).
 AP_MEMO_CAP = 1 << 14
-
-
-def rr_pick(mask: np.ndarray, ptr: np.ndarray, n: int) -> np.ndarray:
-    """Batched round-robin winner over the trailing axis.
-
-    ``mask[..., n]`` holds the request lines, ``ptr[...]`` the pointers.
-    The winner minimizes ``(slot - ptr) mod n`` among requesters — exactly
-    :func:`repro.core.arbiter.rr_winner`.  Rows with no requester return 0;
-    callers mask those out with ``mask.any(-1)``.  (Reference formulation;
-    the production kernels use the sorted-offset form of the same rule.)
-    """
-    offsets = (np.arange(n) - ptr[..., None]) % n
-    return np.where(mask, offsets, n).argmin(-1)
 
 
 def select_max_credit(cand: np.ndarray, creds: np.ndarray) -> np.ndarray:
@@ -112,12 +104,39 @@ def select_vix_dimension(
     return np.where(cand, key, -1).argmax(-1)
 
 
-def _group_heads(key_sorted: np.ndarray) -> np.ndarray:
-    """Boolean mask of the first element of each run in a sorted key array."""
-    head = np.empty(key_sorted.size, dtype=bool)
+def rr_arbitrate(s: SoAState, group, slot, ptr, width: int, rounds=None):
+    """One bank of round-robin arbiters, every round at once.
+
+    Requester ``i`` asks arbiter ``group[i]`` from slot ``slot[i]`` (slots
+    are distinct within a group); ``ptr`` is the flat pointer array of the
+    bank, indexed by group id, and ``width`` its arbiters' slot count.
+    Requesters are sorted by ``(group, (slot - ptr) mod width)`` through
+    the state's width-keyed ``rr`` tables, so each group's run lists its
+    arbiter's winners round by round (see module docstring).
+
+    Without ``rounds`` every arbiter grants one round: its pointer moves
+    one past its group head, and the heads' requester indices come back,
+    one per group, in group order.  With ``rounds`` (per-group round counts
+    by group id, >= 1 for every group present) the pointer moves one past
+    its last winner, and ``(order, rank)`` comes back: the sort permutation
+    and the round each sorted requester wins, granted while ``rank <
+    rounds``.
+    """
+    roll, inc = s.rr[width]
+    order = np.argsort(group * width + roll[ptr[group] * width + slot])
+    group = group[order]
+    head = np.empty(group.size, dtype=bool)
     head[0] = True
-    np.not_equal(key_sorted[1:], key_sorted[:-1], out=head[1:])
-    return head
+    np.not_equal(group[1:], group[:-1], out=head[1:])
+    if rounds is None:
+        win = order[head]
+        ptr[group[head]] = inc[slot[win]]
+        return win
+    idx = s._arN[: group.size]
+    rank = idx - np.maximum.accumulate(np.where(head, idx, 0))
+    last = rank == rounds[group] - 1
+    ptr[group[last]] = inc[slot[order[last]]]
+    return order, rank
 
 
 def va_kernel(s: SoAState) -> int:
@@ -147,32 +166,18 @@ def va_kernel(s: SoAState) -> int:
         pair = pair[ok]
         if fi.size == 0:
             return 0
-    slot = fi % PV
-    off = s.roll_va1[s.va_ptr1[pair] * PV + slot]
-    # Offsets are unique within a pair, so this key has no ties and the
-    # sort groups requesters by pair in round (offset) order.
-    order = np.argsort(pair * PV + off)
+    # Rounds run while the output has requesters AND free VCs: a pair
+    # grants min(#requesters, #free) rounds, its pointer ending one past
+    # the last winner (it rotated past each).
+    rounds = np.minimum(np.bincount(pair, minlength=s.RP), s.nfree)
+    order, rank = rr_arbitrate(s, pair, fi % PV, s.va_ptr1, PV, rounds)
     fi = fi[order]
     pair = pair[order]
-    slot = slot[order]
-    # Rank within the pair group = the round this requester would win.
-    idx = s._arN[: pair.size]
-    rank = idx - np.maximum.accumulate(np.where(_group_heads(pair), idx, 0))
-    # Rounds run while the output has requesters AND free VCs: this pair
-    # grants min(#requesters, #free) rounds, in rank order.
-    nwin = np.minimum(np.bincount(pair, minlength=s.RP), s.nfree)[pair]
-    granted = rank < nwin
-    ngrant = int(granted.sum())
-    if ngrant == 0:
-        return 0
-    # The pointer ends one past the last winner (it rotated past each).
-    last = granted & (rank == nwin - 1)
-    s.va_ptr1[pair[last]] = s.inc_va[slot[last]]
     # Round-by-round VC choice: the policy consumes one free VC per grant,
     # so later rounds see the earlier choices.  Round 0 covers every
     # granting pair; later rounds only the (few) pairs with several
     # same-cycle heads for one output.
-    gidx = np.flatnonzero(granted)
+    gidx = np.flatnonzero(rank < rounds[pair])
     r = 0
     while True:
         sel = gidx[rank[gidx] == r]
@@ -201,7 +206,7 @@ def va_kernel(s: SoAState) -> int:
         if sel.size == gidx.size:
             break
         r += 1
-    return ngrant
+    return gidx.size
 
 
 def _sa_requests(s: SoAState):
@@ -239,32 +244,15 @@ def sa_input_first(s: SoAState):
     if sel is None:
         return None
     fi, out, po = sel
-    k, gs, Pk, V, PV = s.k, s.gs, s.Pk, s.V, s.PV
-    if gs == 1:
-        # Ideal VIX: one VC per crossbar input (k == V, so the global
-        # crossbar-input id collapses to the flat VC index) — every
-        # requester wins its own phase-1 arbiter and the width-1 pointer
-        # rotation (0 + 1) % 1 is a no-op.
-        wfi, wout, wpo, wg = fi, out, po, fi % PV
-    else:
-        vv = fi % V
-        lv = vv % gs
-        gg = (fi // V) * k + vv // gs  # global crossbar-input id
-        off = s.roll_p1_1[s.in_ptr1[gg] * gs + lv]
-        order = np.argsort(gg * gs + off)
-        head = _group_heads(gg[order])
-        win = order[head]
-        # Every group present rotated its arbiter (one winner per group).
-        s.in_ptr1[gg[win]] = s.inc_p1[lv[win]]
-        wfi, wout, wpo = fi[win], out[win], po[win]
-        wg = gg[win] % Pk
+    gs, Pk = s.gs, s.Pk
+    if gs > 1:  # ideal VIX (gs == 1): every VC is a crossbar input and wins
+        # Crossbar input p * k + j serves VCs [j * gs, (j + 1) * gs) of
+        # port p, and V == k * gs, so VC fi sits in crossbar input fi // gs.
+        win = rr_arbitrate(s, fi // gs, fi % gs, s.in_ptr1, gs)
+        fi, out, po = fi[win], out[win], po[win]
     # Phase 2: outputs arbitrate among their offering crossbar inputs.
-    off2 = s.roll_p2_1[s.out_ptr1[wpo] * Pk + wg]
-    order2 = np.argsort(wpo * Pk + off2)
-    head2 = _group_heads(wpo[order2])
-    win2 = order2[head2]
-    s.out_ptr1[wpo[win2]] = s.inc_p2[wg[win2]]
-    return wfi[win2], wout[win2]
+    win = rr_arbitrate(s, po, fi // gs % Pk, s.out_ptr1, Pk)
+    return fi[win], out[win]
 
 
 def sa_output_first(s: SoAState):
@@ -279,23 +267,13 @@ def sa_output_first(s: SoAState):
     if sel is None:
         return None
     fi, out, po = sel
-    V, P, PV = s.V, s.P, s.PV
-    slot = fi % PV
-    off = s.roll_of1_1[s.of_out_ptr1[po] * PV + slot]
-    order = np.argsort(po * PV + off)
-    head = _group_heads(po[order])
-    win = order[head]
-    s.of_out_ptr1[po[win]] = s.inc_of1[slot[win]]
+    V, PV = s.V, s.PV
+    win = rr_arbitrate(s, po, fi % PV, s.of_out_ptr1, PV)
     # Phase 2: each input port arbitrates among the outputs offering to it
     # (the arbiter slot is the *output* id).
     wfi, wout = fi[win], out[win]
-    ig = wfi // V  # flat (router, input port) id
-    off2 = s.roll_of2_1[s.of_in_ptr1[ig] * P + wout]
-    order2 = np.argsort(ig * P + off2)
-    head2 = _group_heads(ig[order2])
-    win2 = order2[head2]
-    s.of_in_ptr1[ig[win2]] = s.inc_of2[wout[win2]]
-    return wfi[win2], wout[win2]
+    win = rr_arbitrate(s, wfi // V, wout, s.of_in_ptr1, s.P)
+    return wfi[win], wout[win]
 
 
 def _sa_port_level(s: SoAState, match):
@@ -306,10 +284,10 @@ def _sa_port_level(s: SoAState, match):
     router ``r`` wants output ``o``), takes from ``match(s, req)`` the same
     matrix holding only each router's matched cells (at most one per row
     and column; ``req`` may be reused for it), then lets every matched
-    input port round-robin among its VCs on the matched cell.  The port's V:1 arbiter rotates past its winner —
-    ``RoundRobinArbiter.grant`` on the allocators' ``_vc_arbiters``, and
-    the lone-winner rotation of their ``allocate_fast``.  Returns ``(flat
-    VC index, output port)`` per grant.
+    input port round-robin among its VCs on the matched cell.  The port's
+    V:1 arbiter rotates past its winner — ``RoundRobinArbiter.grant`` on
+    the allocators' ``_vc_arbiters``, and the lone-winner rotation of their
+    ``allocate_fast``.  Returns ``(flat VC index, output port)`` per grant.
     """
     sel = _sa_requests(s)
     if sel is None:
@@ -321,12 +299,8 @@ def _sa_port_level(s: SoAState, match):
     req = np.zeros(s.R * s.P * s.P, dtype=bool)
     req[cell] = True
     keep = match(s, req)[cell]
-    fi, out, ig = fi[keep], out[keep], ig[keep]
-    vc = fi % V
-    off = s.roll_vc1[s.vc_ptr1[ig] * V + vc]
-    order = np.argsort(ig * V + off)
-    win = order[_group_heads(ig[order])]
-    s.vc_ptr1[ig[win]] = s.inc_vc[vc[win]]
+    fi, out = fi[keep], out[keep]
+    win = rr_arbitrate(s, ig[keep], fi % V, s.vc_ptr1, V)
     return fi[win], out[win]
 
 
@@ -350,7 +324,7 @@ def _wavefront_match(s: SoAState, req: np.ndarray) -> np.ndarray:
     swept = s.wf_cell[:, diag]
     swept += s.cell_base
     busy = req.reshape(R, P * P).any(1)
-    diag[busy] = s.inc_wf[diag[busy]]
+    diag[busy] = s.rr[P][1][diag[busy]]
     grant = req[swept]
     waves = grant.reshape(P, P, R)
     row_free = np.ones((P, R), dtype=bool)

@@ -28,12 +28,13 @@ the same power-on value (0) and rotation rule as
 :class:`~repro.core.arbiter.RoundRobinArbiter`; which tensors exist
 depends on the scheme (separable phase-1/phase-2 pointers, or the
 port-level matchers' per-port VC pointers plus wavefront's priority
-diagonal).  Static topology facts
-(routing, lookahead, link endpoints) are precomputed once into lookup
-tables so the per-cycle kernels are pure array arithmetic.  Terminal
-``t`` sits at ``divmod(t, C)`` and DOR depends on ``t`` only through its
-router and its local port, so the routing tables are indexed by
-destination *router* ``d = t // C`` wherever the local port is not needed:
+diagonal); every bank rotates through one width-keyed table, ``rr``.
+Static topology facts (routing, lookahead, link endpoints) are
+precomputed once into lookup tables so the per-cycle kernels are pure
+array arithmetic.  Terminal ``t`` sits at ``divmod(t, C)`` and DOR
+depends on ``t`` only through its router and its local port, so the
+routing tables are indexed by destination *router* ``d = t // C``
+wherever the local port is not needed:
 
 ====================  ==============  ========================================
 table                 shape, dtype    read as
@@ -65,6 +66,13 @@ from .support import SA_KERNELS
 IDLE = 0
 VA_WAIT = 1
 ACTIVE = 2
+
+
+def rr_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Width-``n`` round-robin tables: flat roll ``(slot - ptr) % n`` at
+    ``ptr * n + slot``, and the pointer advance ``(slot + 1) % n``."""
+    ar = np.arange(n)
+    return ((ar - ar[:, None]) % n).reshape(-1), (ar + 1) % n
 
 
 class SoAState:
@@ -169,27 +177,19 @@ class SoAState:
         # Rank credits sums below candidate counts (policy key (count, sum)).
         self.sumcap = V * rc.buffer_depth + 1
 
-        # --- round-robin roll / increment tables ------------------------------
-        # roll_*[ptr, slot] = (slot - ptr) % n and inc_*[slot] = (slot + 1) % n,
-        # precomputed per arbiter width so the kernels' winner argmin and
-        # pointer rotation are single gathers instead of arange/sub/mod chains.
-        def _roll(n: int) -> np.ndarray:
-            return (np.arange(n) - np.arange(n)[:, None]) % n
-
-        def _inc(n: int) -> np.ndarray:
-            return (np.arange(n) + 1) % n
-
-        self.roll_va = _roll(P * V)
-        self.inc_va = _inc(P * V)
+        # --- round-robin tables -----------------------------------------------
+        # rr[n] = rr_tables(n) for each arbiter width n the scheme uses, so
+        # kernels.rr_arbitrate's rolled offsets and pointer advance are
+        # single gathers (cheaper than the % arithmetic at these sizes).
+        # Besides VA's P*V (one arbiter per output over every input VC), the
+        # widths are OF's phase 2 (its phase 1 is P*V too), the port-level VC
+        # pick (and wavefront's diagonal), or IF's two phases.
         if self.output_first:
-            self.roll_of1 = _roll(P * V)
-            self.inc_of1 = _inc(P * V)
-            self.roll_of2 = _roll(P)
-            self.inc_of2 = _inc(P)
+            widths = (P,)
         elif self.port_level:
-            self.roll_vc1 = _roll(V).reshape(-1)
-            self.inc_vc = _inc(V)
+            widths = (V,)
             if self.wavefront:
+                widths = (V, P)
                 # The sweep in array form (see kernels.sa_wavefront).
                 # wf_cell[w * P + i, d] = i * P + (d + w - i) % P: the
                 # request-matrix cell input i visits on wave w of a sweep
@@ -200,18 +200,12 @@ class SoAState:
                 wave, inp = ar[:, None, None], ar[None, :, None]
                 self.wf_cell = (inp * P + (ar + wave - inp) % P).reshape(P * P, P)
                 self.wf_visit = list((ar[:, None] - ar) % P)
-                self.inc_wf = _inc(P)
                 # Flat request-matrix base of each router: cell (r, i, o)
                 # is r * P * P + i * P + o.
                 self.cell_base = np.arange(R) * (P * P)
         else:
-            self.roll_p1 = _roll(self.gs)
-            self.inc_p1 = _inc(self.gs)
-            self.roll_p2 = _roll(P * self.k)
-            self.inc_p2 = _inc(P * self.k)
-            # VC-id base of each crossbar input: input p*k + j serves the
-            # contiguous VC group [j*gs, (j+1)*gs).
-            self.g_base = (np.arange(P * self.k) % self.k) * self.gs
+            widths = (self.gs, P * self.k)
+        self.rr = {n: rr_tables(n) for n in {P * V, *widths}}
 
         # --- flat aliases and index tables ------------------------------------
         # Kernels address every tensor through 1-D raveled views with
@@ -221,13 +215,6 @@ class SoAState:
         self.PV = P * V
         self.RP = R * P
         self.Pk = P * self.k
-        if self.output_first:
-            self.roll_of1_1 = self.roll_of1.reshape(-1)
-            self.roll_of2_1 = self.roll_of2.reshape(-1)
-        elif not self.port_level:
-            self.roll_p1_1 = self.roll_p1.reshape(-1)
-            self.roll_p2_1 = self.roll_p2.reshape(-1)
-        self.roll_va1 = self.roll_va.reshape(-1)
         self.route1 = self.route_tab.reshape(-1)
         self.hop_cls1 = self.hop_cls.reshape(-1)
         self.term1 = self.term_tab.reshape(-1)
@@ -247,12 +234,9 @@ class SoAState:
         for j in range(self.k_pol):
             self.grp_mat[j * self.gs_pol : (j + 1) * self.gs_pol, j] = 1
         self._arV = np.arange(V)
-        self._args = np.arange(self.gs_pol)
-        # Cached arange (and its row strides) covering any kernel row count;
-        # slicing a precomputed array beats per-call np.arange allocation.
+        # Cached arange covering any kernel row count; slicing a
+        # precomputed array beats per-call np.arange allocation.
         self._arN = np.arange(max(R * P * V, T))
-        self._arNk = self._arN * self.k_pol
-        self._arNV = self._arN * V
         # dirmap[d + 1] = max(d, 0) % k_pol for the policy's preferred-group
         # lookup, one row per direction class the topology has (-1 means
         # "ejects downstream").
@@ -300,16 +284,21 @@ class SoAState:
 
         # --- arbiter pointers -------------------------------------------------
         # VA: one radix*V arbiter per output port (Router._va_arbiters).
+        # Each pointer tensor gets a flat view (``*_ptr1``) for the kernels.
         self.va_ptr = np.zeros((R, P), dtype=np.int64)
+        self.va_ptr1 = self.va_ptr.reshape(-1)
         if self.output_first:
             # SA phase 1: one (P*V):1 arbiter per output port; phase 2: one
             # P:1 arbiter per input port (k is always 1 for OF).
             self.of_out_ptr = np.zeros((R, P), dtype=np.int64)
             self.of_in_ptr = np.zeros((R, P), dtype=np.int64)
+            self.of_out_ptr1 = self.of_out_ptr.reshape(-1)
+            self.of_in_ptr1 = self.of_in_ptr.reshape(-1)
         elif self.port_level:
             # One V:1 VC arbiter per input port (the allocators'
             # ``_vc_arbiters``); wavefront adds its priority diagonal.
             self.vc_ptr = np.zeros((R, P), dtype=np.int64)
+            self.vc_ptr1 = self.vc_ptr.reshape(-1)
             if self.wavefront:
                 self.wf_diag = np.zeros(R, dtype=np.int64)
             else:
@@ -321,6 +310,8 @@ class SoAState:
             # phase 2: one (P*k):1 arbiter per output port.
             self.in_ptr = np.zeros((R, P * self.k), dtype=np.int64)
             self.out_ptr = np.zeros((R, P), dtype=np.int64)
+            self.in_ptr1 = self.in_ptr.reshape(-1)
+            self.out_ptr1 = self.out_ptr.reshape(-1)
 
         # Flat views sharing memory with the tensors above.
         self.st1 = self.st.reshape(-1)
@@ -332,17 +323,6 @@ class SoAState:
         self.outv1 = self.outv.reshape(-1)
         self.ocred1 = self.ocred.reshape(-1)
         self.oalloc1 = self.oalloc.reshape(-1)
-        self.ocred2d = self.ocred.reshape(R * P, V)
-        self.oalloc2d = self.oalloc.reshape(R * P, V)
-        self.va_ptr1 = self.va_ptr.reshape(-1)
-        if self.output_first:
-            self.of_out_ptr1 = self.of_out_ptr.reshape(-1)
-            self.of_in_ptr1 = self.of_in_ptr.reshape(-1)
-        elif self.port_level:
-            self.vc_ptr1 = self.vc_ptr.reshape(-1)
-        else:
-            self.in_ptr1 = self.in_ptr.reshape(-1)
-            self.out_ptr1 = self.out_ptr.reshape(-1)
         # Free (unallocated) output-VC count per (router, port), maintained
         # incrementally by the VA kernel (-1 per grant) and credit release
         # (+1) — replaces a per-cycle oalloc reduction.
@@ -370,8 +350,11 @@ class SoAState:
         # Flits are not objects in the kernel: events carry (packet index,
         # seq) and the arrays above carry the rest.  The real Packet objects
         # are kept until their tail ejects (stats need ``ejected_cycle`` and
-        # ``created_cycle``); ``VecStepper.deliver`` then clears the slot.
+        # ``created_cycle``); ``VecStepper.deliver`` then clears the slot and
+        # hands it to ``free_slots``, which ``intern`` drains before growing,
+        # so the table holds what is in flight, not what the run injected.
         self.packets: list = []
+        self.free_slots: list[int] = []
         cap = 4096
         self.pk_dst = np.zeros(cap, dtype=np.int64)
         self.pk_dr = np.zeros(cap, dtype=np.int64)  # destination router
@@ -459,12 +442,16 @@ class SoAState:
 
     def intern(self, packet) -> int:
         """Register a packet; returns its dense index for the event arrays."""
-        idx = len(self.packets)
-        if idx == self.pk_dst.size:
-            self.pk_dst = np.concatenate([self.pk_dst, np.zeros_like(self.pk_dst)])
-            self.pk_dr = np.concatenate([self.pk_dr, np.zeros_like(self.pk_dr)])
-            self.pk_last = np.concatenate([self.pk_last, np.zeros_like(self.pk_last)])
-        self.packets.append(packet)
+        if self.free_slots:
+            idx = self.free_slots.pop()
+            self.packets[idx] = packet
+        else:
+            idx = len(self.packets)
+            if idx == self.pk_dst.size:
+                self.pk_dst = np.concatenate([self.pk_dst, np.zeros_like(self.pk_dst)])
+                self.pk_dr = np.concatenate([self.pk_dr, np.zeros_like(self.pk_dr)])
+                self.pk_last = np.concatenate([self.pk_last, np.zeros_like(self.pk_last)])
+            self.packets.append(packet)
         self.pk_dst[idx] = packet.dst
         self.pk_dr[idx] = packet.dst // self.C
         self.pk_last[idx] = packet.num_flits - 1

@@ -232,6 +232,7 @@ class VecStepper:
         in_window = stats.window_start <= now < stats.window_end
         by_creation = stats.window_by_creation
         ws, we = stats.window_start, stats.window_end
+        outstanding = stats._outstanding
         ejected = self.ejected
         pk_index = self.net.pk_index
         for terms, pks, tails in slot["ej"]:
@@ -255,35 +256,27 @@ class VecStepper:
             latencies = stats.latencies
             # The tail's ejection is the last read of an interned packet
             # (boundary flits are rebuilt before they eject), so its slot
-            # is released here rather than kept for the life of the run,
-            # and so is its cut-link entry, if it crossed a cut.
+            # is released here for intern to reuse, and so is its cut-link
+            # entry, if it crossed a cut.
             if pk_index:
                 for pki in tpk:
                     pk_index.pop(packets[pki].pid, None)
-            if by_creation:
-                # WindowStats: measured-ness keyed by created_cycle (a
-                # packet may be created in another worker's domain).
-                for pki in tpk:
-                    packet = packets[pki]
-                    packets[pki] = None
-                    packet.ejected_cycle = now
-                    if in_window:
-                        per_src[packet.src] += 1
+            for pki in tpk:
+                packet = packets[pki]
+                packets[pki] = None
+                packet.ejected_cycle = now
+                if in_window:
+                    per_src[packet.src] += 1
+                if by_creation:
+                    # WindowStats: measured-ness keyed by created_cycle (a
+                    # packet may be created in another worker's domain).
                     created = packet.created_cycle
                     if ws <= created < we:
                         latencies.append(now - created)
-            else:
-                outstanding = stats._outstanding
-                for pki in tpk:
-                    packet = packets[pki]
-                    packets[pki] = None
-                    packet.ejected_cycle = now
-                    if in_window:
-                        per_src[packet.src] += 1
-                    pid = packet.pid
-                    if pid in outstanding:
-                        outstanding.discard(pid)
-                        latencies.append(now - packet.created_cycle)
+                elif packet.pid in outstanding:
+                    outstanding.discard(packet.pid)
+                    latencies.append(now - packet.created_cycle)
+            s.free_slots.extend(tpk)
 
         slot["arr"].clear()
         slot["cred"].clear()

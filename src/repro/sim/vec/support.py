@@ -7,7 +7,7 @@ have one (:data:`SA_KERNELS` names the kernel behind each scheme):
 * the *separable* round-robin allocators (``input_first``,
   ``output_first``, ``vix``, ``ideal_vix``) — each arbiter's decision
   depends only on its own pointer and request lines, so both phases are
-  data-parallel sorted-offset picks;
+  data-parallel :func:`~repro.sim.vec.kernels.rr_arbitrate` calls;
 * the *port-level matchers* (``wavefront``, ``augmenting_path``) — a match
   over each router's 0/1 request matrix followed by a per-input-port VC
   round-robin.  Wavefront's rotating-diagonal sweep is ``P`` waves of

@@ -100,3 +100,17 @@ def test_cut_links_keep_one_packet_slot_per_packet(drain_limit):
     # Every slot still held is a packet still in flight, once each.
     assert len({p.pid for p in live}) == len(live)
     assert len(live) <= sum(dom.outstanding_flits() for dom in sim.domains)
+
+
+def test_packet_table_holds_what_is_in_flight():
+    """Released slots are reused: after a saturation run that ejects more
+    packets than the table's first chunk holds, the table is no longer
+    than the packets still in flight plus that one chunk."""
+    chunk = 4096  # the packet table's initial capacity
+    sim = _build("vectorized", _config(num_vcs=4, allocator="vix", virtual_inputs=2))
+    result = sim.run(warmup=200, measure=2000, drain_limit=0)
+    s = sim._fabric.s
+    live = sum(p is not None for p in s.packets)
+    assert result.counters["packets_ejected"] > live + chunk
+    assert len(s.packets) <= live + chunk
+    assert s.pk_dst.size == chunk

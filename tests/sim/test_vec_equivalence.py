@@ -12,6 +12,7 @@ loudly with the registry-style error naming the engines that can.
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 np = pytest.importorskip("numpy")
 
 from repro.core import make_allocator
-from repro.core.arbiter import rr_winner
+from repro.core.arbiter import rr_rotate, rr_winner
 from repro.core.matching import hopcroft_karp, matching_size
 from repro.core.requests import RequestMatrix
 from repro.network.config import NetworkConfig, RouterConfig
@@ -32,8 +33,7 @@ from repro.sim.vec import (
     vectorization_unsupported_reason,
 )
 from repro.sim.vec.engine import VectorizedSimulation
-from repro.sim.vec.kernels import rr_pick
-from repro.sim.vec.state import ACTIVE, SoAState
+from repro.sim.vec.state import ACTIVE, SoAState, rr_tables
 from repro.topology import make_topology
 
 #: Counters measuring the engines themselves: allowed to differ (the dense
@@ -298,6 +298,8 @@ class TestDelegation:
 #: The twin tests' fabric: a 2x2 mesh (4 routers, radix 5) with 4 VCs.
 TWIN_R, TWIN_P, TWIN_V = 4, 5, 4
 PORT_LEVEL = ("wavefront", "augmenting_path")
+#: The separable kernels' twins, with their virtual inputs per port.
+SEPARABLE = {"input_first": 1, "output_first": 1, "vix": 2, "ideal_vix": 4}
 #: Output requested by each (router, port, vc), -1 for none; about half
 #: the VCs request, so most routers are contended.
 _TABLE = st.lists(
@@ -307,14 +309,14 @@ _TABLE = st.lists(
 )
 
 
-def _twin_state(allocator: str) -> SoAState:
-    cfg = _config(allocator, "max_credit", 1, num_terminals=4)
+def _twin_state(allocator: str, k: int = 1) -> SoAState:
+    cfg = _config(allocator, "max_credit", k, num_terminals=4)
     s = SoAState(make_topology(cfg.topology, cfg.num_terminals), cfg)
     assert (s.R, s.P, s.V) == (TWIN_R, TWIN_P, TWIN_V)
     return s
 
 
-def _assert_twin(s: SoAState, allocator: str, requests: list[int]) -> None:
+def _assert_twin(s: SoAState, allocator: str, requests: list[int], k: int = 1):
     """One kernel call on ``requests`` vs one object allocator per router."""
     table = np.array(requests).reshape(TWIN_R, TWIN_P, TWIN_V)
     s.st[:] = np.where(table >= 0, ACTIVE, 0)
@@ -322,14 +324,14 @@ def _assert_twin(s: SoAState, allocator: str, requests: list[int]) -> None:
     s.outp[:] = table
     s.outv[:] = 0
     before = s.export_flow_state(0)["routers"]
-    grants = getattr(kernels, f"sa_{allocator}")(s)
+    grants = getattr(kernels, s.sa_kernel)(s)
     got = set()
     if grants is not None:
         for fi, out in zip(*(a.tolist() for a in grants)):
             got.add((fi // s.PV, fi // s.V % s.P, fi % s.V, out))
     after = s.export_flow_state(0)["routers"]
     for r in range(TWIN_R):
-        twin = make_allocator(allocator, TWIN_P, TWIN_P, TWIN_V)
+        twin = make_allocator(allocator, TWIN_P, TWIN_P, TWIN_V, virtual_inputs=k)
         twin.import_pointers(before[r]["sa_pointers"])
         matrix = RequestMatrix(TWIN_P, TWIN_P, TWIN_V)
         for p, v in zip(*np.nonzero(table[r] >= 0)):
@@ -348,18 +350,55 @@ def _assert_twin(s: SoAState, allocator: str, requests: list[int]) -> None:
 class TestArbiterDriftGuard:
     """The batched round-robin rule is pinned to the scalar definition."""
 
-    def test_rr_pick_matches_rr_winner(self):
-        rng = np.random.default_rng(0)
-        n = 7
-        mask = rng.random((64, n)) < 0.4
-        ptr = rng.integers(0, n, 64)
-        picked = rr_pick(mask, ptr, n)
-        for row in range(64):
-            requests = np.flatnonzero(mask[row]).tolist()
-            expected = rr_winner(int(ptr[row]), requests, n)
-            if expected is None:
-                continue  # no requester: rr_pick's 0 is masked by callers
-            assert picked[row] == expected
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 9), banks=st.integers(1, 6),
+           multi=st.booleans())
+    def test_rr_arbitrate_matches_rr_winner(self, data, width, banks, multi):
+        """Each group's sorted run is its arbiter's grant sequence: round r
+        wins ``rr_winner`` over what earlier rounds left, from the pointer
+        they left (``rr_rotate``), and the pointer ends one past the last
+        granted round; arbiters nobody asked keep theirs.  One round
+        returns just the heads, one per group asked, in group order."""
+        cells = st.tuples(st.integers(0, banks - 1), st.integers(0, width - 1))
+        requests = data.draw(st.permutations(sorted(data.draw(
+            st.sets(cells, min_size=1, max_size=banks * width)))))
+        ptr0 = np.array(data.draw(st.lists(
+            st.integers(0, width - 1), min_size=banks, max_size=banks)))
+        slots = {g: [q for h, q in requests if h == g] for g in range(banks)}
+        asked = [g for g in range(banks) if slots[g]]
+        rounds = None
+        if multi:
+            rounds = np.array([
+                data.draw(st.integers(1, max(1, len(slots[g]))))
+                for g in range(banks)
+            ])
+        s = SimpleNamespace(rr={width: rr_tables(width)}, _arN=np.arange(64))
+        group = np.array([g for g, _ in requests])
+        slot = np.array([q for _, q in requests])
+        ptr = ptr0.copy()
+        got = kernels.rr_arbitrate(s, group, slot, ptr, width, rounds)
+        if rounds is None:
+            assert group[got].tolist() == asked
+            runs = {g: [q] for g, q in zip(group[got].tolist(), slot[got].tolist())}
+        else:
+            order, rank = got
+            run_group = group[order]
+            runs = {g: slot[order][run_group == g].tolist() for g in asked}
+            for g in asked:
+                assert rank[run_group == g].tolist() == list(range(len(slots[g])))
+        for g in range(banks):
+            if not slots[g]:
+                assert ptr[g] == ptr0[g]
+                continue
+            pointer, left, sequence = int(ptr0[g]), list(slots[g]), []
+            while left:
+                winner = rr_winner(pointer, left, width)
+                sequence.append(winner)
+                left.remove(winner)
+                pointer = rr_rotate(winner, width)
+            assert runs[g] == sequence[: len(runs[g])]
+            granted = 1 if rounds is None else int(rounds[g])
+            assert ptr[g] == rr_rotate(sequence[granted - 1], width)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -381,6 +420,27 @@ class TestArbiterDriftGuard:
         if allocator == "wavefront":
             s.wf_diag[:] = diagonals
         _assert_twin(s, allocator, requests)
+
+    @settings(max_examples=80, deadline=None)
+    @given(allocator=st.sampled_from(sorted(SEPARABLE)), requests=_TABLE,
+           seed=st.integers(0, 2**32 - 1))
+    def test_separable_kernels_match_object_allocators(
+        self, allocator, requests, seed
+    ):
+        """``sa_input_first`` (IF, VIX k=2, ideal VIX k=4) and
+        ``sa_output_first``: grants and post-state equal the object
+        allocator's, router by router, from random phase-1/phase-2
+        pointers."""
+        k = SEPARABLE[allocator]
+        s = _twin_state(allocator, k)
+        if s.output_first:
+            banks = ((s.of_out_ptr1, s.PV), (s.of_in_ptr1, s.P))
+        else:
+            banks = ((s.in_ptr1, s.gs), (s.out_ptr1, s.Pk))
+        rng = np.random.default_rng(seed)
+        for ptr, width in banks:
+            ptr[:] = rng.integers(0, width, ptr.size)
+        _assert_twin(s, allocator, requests, k)
 
     def test_augmenting_path_memo_is_bounded(self, monkeypatch):
         """A tiny cap forces evictions mid-run: grants stay the object

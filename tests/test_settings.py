@@ -235,7 +235,19 @@ def test_undeclared_variable_is_rejected_by_name(monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "undeclared REPRO_* variable(s) set: REPRO_LINK_WIDTH " in err
-    assert settings.undeclared() == ["REPRO_LINK_WIDTH"]
+
+
+def test_library_reads_reject_an_undeclared_variable(monkeypatch):
+    """The library path runs the CLI's check: ``run_simulation`` under a
+    removed knob raises naming it instead of ignoring it, and the next
+    read after it is unset goes through."""
+    from repro import paper_config, run_simulation
+
+    monkeypatch.setenv("REPRO_LINK_LATENCY", "4")
+    with pytest.raises(ValueError, match=r"set: REPRO_LINK_LATENCY \("):
+        run_simulation(paper_config("vix"), injection_rate=0.1, warmup=10, measure=10)
+    monkeypatch.delenv("REPRO_LINK_LATENCY")
+    assert settings.get("REPRO_FULL") is False
 
 
 # --- one home, and no undeclared knobs --------------------------------------
@@ -248,9 +260,13 @@ def test_only_settings_reads_and_only_the_cli_writes_the_environment():
         if hits:
             touching[path.name] = hits
     assert set(touching) == {"settings.py", "cli.py"}
-    # Reads are per-name gets, plus the one scan for undeclared names.
+    # Reads are per-name gets, plus the one scan for undeclared names and
+    # the environment size that gates its rerun.
     reads = [h for h in touching["settings.py"] if not h.startswith("os.environ.get(")]
-    assert reads == ['os.environ if n.startswith("REPRO_") and n not in SETTINGS)']
+    assert reads == [
+        'os.environ if n.startswith("REPRO_") and n not in SETTINGS)',
+        "os.environ)) != _checked_size:",
+    ]
     assert all(h.startswith("os.environ[name] = ") for h in touching["cli.py"])
 
 
